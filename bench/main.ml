@@ -450,7 +450,7 @@ let run_fuzz () =
 
 (* ------------------------------------------------------------------ *)
 (* PR 4 robustness report: the cost of the always-on report protocol
-   (seal + validate on every delivery) at fault rate 0 — the < 2%
+   (encode + check on every delivery) at fault rate 0 — the < 2%
    budget — and the fleet's behaviour under a seeded fault sweep,
    emitted as BENCH_PR4.json with a [vs_pr2] block against the
    committed BENCH_PR2.json baseline. *)
@@ -506,9 +506,7 @@ let run_faults ?(smoke = false) () =
      [Encode.check] — the allocation-free layer walk; serialising and
      materialising reports ([encode] + the decode inside [ingest])
      is transport and aggregation work any fleet protocol pays and is
-     reported separately ([wire_total_pct_of_diagnosis_wall]).  The
-     in-memory seal+validate pair is kept as the reference-oracle
-     figure. *)
+     reported separately ([wire_total_pct_of_diagnosis_wall]). *)
   let reps = if smoke then 300 else 3000 in
   let (), run_s = time_wall (fun () ->
       for _ = 1 to reps / 10 do ignore (client ()) done)
@@ -530,22 +528,14 @@ let run_faults ?(smoke = false) () =
         ignore (Gist.Protocol.Encode.check ~n_instrs ~plan_id wire_bytes)
       done)
   in
-  let (), proto_s = time_wall (fun () ->
-      for c = 1 to reps do
-        let env = Gist.Protocol.seal ~client:c ~plan_id report in
-        ignore (Gist.Protocol.validate ~n_instrs ~plan_id env)
-      done)
-  in
   let run_ns = 1e9 *. run_s /. float_of_int (reps / 10) in
   let wire_ns = 1e9 *. wire_s /. float_of_int reps in
   let check_ns = 1e9 *. check_s /. float_of_int reps in
-  let proto_ns = 1e9 *. proto_s /. float_of_int reps in
   let per_run_pct = 100.0 *. wire_ns /. run_ns in
   Printf.printf
     "PR4 faults: wire encode+ingest %.0f ns, validation alone \
-     (Encode.check) %.0f ns, in-memory seal+validate reference %.0f ns, \
-     vs client run %.0f ns\n"
-    wire_ns check_ns proto_ns run_ns;
+     (Encode.check) %.0f ns, vs client run %.0f ns\n"
+    wire_ns check_ns run_ns;
   Printf.printf
     "PR4 faults: per-delivery wire cost is %.3f%% of one monitored \
      client run (diagnostic only, not the budget-gated number)\n"
@@ -616,7 +606,7 @@ let run_faults ?(smoke = false) () =
       sweep_rates
   in
   (* The budget number: the protocol's share of a whole zero-fault
-     diagnosis — per-delivery seal+validate cost times deliveries,
+     diagnosis — per-delivery validation cost times deliveries,
      over the measured wall time (a diagnosis also probes for the
      failure, slices, places instrumentation and ranks predictors, so
      this is far below the per-delivery ratio). *)
@@ -663,12 +653,12 @@ let run_faults ?(smoke = false) () =
       (Parallel.Jobs.available ());
     Printf.bprintf buf
       "  \"protocol\": {\"wire_encode_ingest_ns\": %.0f, \
-       \"wire_check_ns\": %.0f, \"seal_validate_reference_ns\": %.0f, \
+       \"wire_check_ns\": %.0f, \
        \"client_run_ns\": %.0f, \"pct_of_one_client_run\": %.4f, \
        \"validation_pct_of_diagnosis_wall\": %.4f, \
        \"wire_total_pct_of_diagnosis_wall\": %.4f, \"budget_gated\": \
        \"validation_pct_of_diagnosis_wall\", \"budget_pct\": 2.0},\n"
-      (json_num wire_ns) (json_num check_ns) (json_num proto_ns)
+      (json_num wire_ns) (json_num check_ns)
       (json_num run_ns) (json_num per_run_pct) (json_num overhead_pct)
       (json_num wire_total_pct);
     Buffer.add_string buf "  \"sweep\": [\n";

@@ -2,8 +2,9 @@
     each client report, validated by the server before anything reaches
     aggregation or predictor ranking.
 
-    Layers, checked in order: protocol version; an explicit full-walk
-    checksum over every report field (transit integrity); the plan
+    Layers, checked in order: protocol version; a digest over the
+    encoded report bytes (transit integrity); the diagnosis session
+    the report is routed to; the plan
     digest the client echoes back (freshness — a report built under a
     previous iteration's plan is useless because its tracked set and
     watchpoint rotation no longer match); the client-side PT decoder's
@@ -16,15 +17,6 @@
     reports instead of silently folding them into another bug's
     statistics). *)
 val version : int
-
-type envelope = {
-  e_version : int;
-  e_client : int;   (** fleet slot that produced the report *)
-  e_session : int;  (** diagnosis session (bug) the report belongs to *)
-  e_plan_id : int;  (** digest of the plan the client ran under *)
-  e_checksum : int; (** full-walk digest of [e_report] *)
-  e_report : Client.report;
-}
 
 (** Why a report was refused.  A rejected report never reaches
     predictor ranking. *)
@@ -47,23 +39,6 @@ val reject_label : reject -> string
 
 val reject_to_string : reject -> string
 
-(** Explicit digest over every report field ([Hashtbl.hash] truncates
-    its traversal and would miss tail tampering). *)
-val checksum : Client.report -> int
-
-(** [session] defaults to 0 — the id single-bug drivers use, so
-    one-shot call sites need not change. *)
-val seal : ?session:int -> client:int -> plan_id:int -> Client.report -> envelope
-
-(** [validate ~n_instrs ~plan_id env] runs every validation layer;
-    [Error] carries the first failure.  [n_instrs] is the exclusive
-    upper bound on valid statement ids (iids are 1-based, so pass
-    max iid + 1).  [session] (default 0) is the id of the diagnosis
-    session doing the validating. *)
-val validate :
-  ?session:int ->
-  n_instrs:int -> plan_id:int -> envelope -> (Client.report, reject) result
-
 (** The byte form an envelope takes on the wire: varint [version] and
     [client], a fixed 4-byte LE [session] word (fixed-width so the
     envelope's length — and therefore which byte a deterministic
@@ -71,7 +46,8 @@ val validate :
     a varint [plan_id], an 8-byte LE digest, then the varint-packed
     report payload with statement ids delta-encoded.
 
-    Payload field order mirrors {!validate}'s reject priority
+    The envelope is a {!Hw.Codec.frame} around the {!Encode.report}
+    payload.  Payload field order follows the reject priority
     ([r_pt_errors] lead, then executed / branches / traps), so
     {!Encode.ingest} classifies rejects with one allocation-free
     forward scan and materialises only accepted reports. *)
@@ -98,39 +74,20 @@ module Encode : sig
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (unit, reject) result
 
-  (** [ingest ~n_instrs ~plan_id bytes] is {!validate} over the wire
-      form: same layers, same priority, one forward scan; the report
-      is decoded only once every layer has passed.  Never raises —
-      arbitrary bytes yield a [reject]. *)
+  (** [ingest ~n_instrs ~plan_id bytes] runs every validation layer in
+      priority order with one forward scan; the report is decoded only
+      once every layer has passed.  Never raises — arbitrary bytes
+      yield a [reject] — and agrees with {!check} on every input. *)
   val ingest :
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (Client.report, reject) result
 
-  (** {2 Codec primitives reused by the crash-only session snapshots}
-
-      The report payload codec and the envelope digest, exposed so the
-      {!Gist.Server.Session} snapshot / journal machinery serializes
-      retained reports and checksums its own records with exactly the
-      wire protocol's encoding — one binary dialect in the tree, not
-      two. *)
-
-  (** Append one report's payload encoding to the buffer (the bytes
-      {!encode} seals inside an envelope). *)
-  val put_report : Buffer.t -> Client.report -> unit
-
-  (** Decode one report payload at the reader's cursor.
-      @raise Hw.Wirebuf.Short on truncated bytes. *)
-  val get_report : Hw.Wirebuf.reader -> Client.report
-
-  (** [digest ?pos ~client ~session ~plan_id payload]: the 62-bit
-      envelope digest over [payload.[pos..]] with the header fields
-      mixed in — the checksum every envelope carries, reusable for any
-      record that wants the same integrity guarantee. *)
-  val digest :
-    ?pos:int -> client:int -> session:int -> plan_id:int -> string -> int
+  (** The report payload codec (the bytes {!encode} seals inside an
+      envelope); session snapshots embed reports with it. *)
+  val report : Client.report Hw.Codec.t
 
   (** Re-read the digest field of an envelope {!encode} produced,
       without walking the payload.
-      @raise Hw.Wirebuf.Short on bytes shorter than a header. *)
+      @raise Invalid_argument on bytes that hold no envelope header. *)
   val wire_digest : string -> int
 end

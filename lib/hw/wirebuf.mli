@@ -1,5 +1,5 @@
 (** Varint wire primitives shared by the binary encodings ({!Pt.Wire}
-    ring bytes, the report envelope of [Gist.Protocol.Encode]).
+    ring bytes, and every format described with {!Codec}).
 
     Writers append to a [Buffer.t].  Readers walk a string with a
     mutable cursor and allocate nothing per scalar read; a read that
@@ -26,7 +26,8 @@ val put_value : Buffer.t -> Exec.Value.t -> unit
 type reader = { src : string; mutable pos : int; limit : int }
 
 (** [reader ?pos ?limit s] reads [s.[pos .. limit-1]] (defaults: the
-    whole string). *)
+    whole string).
+    @raise Invalid_argument unless [0 <= pos <= limit <= length s]. *)
 val reader : ?pos:int -> ?limit:int -> string -> reader
 
 val eof : reader -> bool
@@ -34,6 +35,8 @@ val eof : reader -> bool
 (** One raw byte. @raise Short at the limit. *)
 val byte : reader -> int
 
+(** @raise Short on a varint longer than nine bytes or one with bit 62
+    set: {!put_uint} writes neither. *)
 val get_uint : reader -> int
 val get_int : reader -> int
 val get_bool : reader -> bool

@@ -3,6 +3,7 @@
    are the whole design. *)
 
 module W = Hw.Wirebuf
+module C = Hw.Codec
 
 type record =
   | Submitted of { id : int; name : string; rejected : bool }
@@ -24,8 +25,15 @@ type t = {
   mutable ckpts : int list;
 }
 
-let magic = '\xA7'
 let version = 1
+
+(* A record frame: the magic byte and the record kind, then the
+   length-prefixed payload and its digest.  The digest key words
+   (3, kind, 0, version) are fixed by the v1 byte format. *)
+let frame =
+  C.sized_frame
+    ~key:(fun kind -> [ 3; kind; 0; version ])
+    C.(magic byte 0xA7 *> uint)
 
 let kind_of = function
   | Submitted _ -> 1
@@ -34,57 +42,43 @@ let kind_of = function
   | Checkpoint _ -> 4
   | Triaged _ -> 5
 
-let put_payload b = function
-  | Submitted { id; name; rejected } ->
-    W.put_uint b id;
-    W.put_string b name;
-    W.put_bool b rejected
-  | Round { round; digest } ->
-    W.put_uint b round;
-    W.put_uint b digest
-  | Completed { id; digest } ->
-    W.put_uint b id;
-    W.put_uint b digest
-  | Checkpoint { round; state } ->
-    W.put_uint b round;
-    W.put_string b state
-  | Triaged { id; name; fp; disp } ->
-    W.put_uint b triaged_version;
-    W.put_uint b id;
-    W.put_string b name;
-    W.put_uint b fp;
-    W.put_uint b disp
-
-let get_payload kind r =
-  match kind with
-  | 1 ->
-    let id = W.get_uint r in
-    let name = W.get_string r in
-    let rejected = W.get_bool r in
-    Submitted { id; name; rejected }
-  | 2 ->
-    let round = W.get_uint r in
-    let digest = W.get_uint r in
-    Round { round; digest }
-  | 3 ->
-    let id = W.get_uint r in
-    let digest = W.get_uint r in
-    Completed { id; digest }
-  | 4 ->
-    let round = W.get_uint r in
-    let state = W.get_string r in
-    Checkpoint { round; state }
-  | 5 ->
-    if W.get_uint r <> triaged_version then raise W.Short;
-    let id = W.get_uint r in
-    let name = W.get_string r in
-    let fp = W.get_uint r in
-    let disp = W.get_uint r in
-    Triaged { id; name; fp; disp }
-  | _ -> raise W.Short
-
-let record_digest ~kind payload =
-  Gist.Protocol.Encode.digest ~client:kind ~session:0 ~plan_id:version payload
+(* Each kind's payload codec; [append] picks it by [kind_of], so a
+   codec only ever encodes records of its own kind. *)
+let payloads : (int * record C.t) list =
+  C.
+    [
+      ( 1,
+        conv
+          (function
+            | Submitted { id; name; rejected } -> (id, name, rejected)
+            | _ -> assert false)
+          (fun (id, name, rejected) -> Submitted { id; name; rejected })
+          (triple uint string bool) );
+      ( 2,
+        conv
+          (function Round { round; digest } -> (round, digest) | _ -> assert false)
+          (fun (round, digest) -> Round { round; digest })
+          (pair uint uint) );
+      ( 3,
+        conv
+          (function Completed { id; digest } -> (id, digest) | _ -> assert false)
+          (fun (id, digest) -> Completed { id; digest })
+          (pair uint uint) );
+      ( 4,
+        conv
+          (function
+            | Checkpoint { round; state } -> (round, state) | _ -> assert false)
+          (fun (round, state) -> Checkpoint { round; state })
+          (pair uint string) );
+      ( 5,
+        versioned triaged_version
+          (conv
+             (function
+               | Triaged { id; name; fp; disp } -> (id, name, (fp, disp))
+               | _ -> assert false)
+             (fun (id, name, (fp, disp)) -> Triaged { id; name; fp; disp })
+             (triple uint string (pair uint uint))) );
+    ]
 
 let create () = { buf = Buffer.create 4096; ckpts = [] }
 
@@ -92,15 +86,8 @@ let append t record =
   (match record with
    | Checkpoint _ -> t.ckpts <- Buffer.length t.buf :: t.ckpts
    | Submitted _ | Round _ | Completed _ | Triaged _ -> ());
-  let p = Buffer.create 64 in
-  put_payload p record;
-  let payload = Buffer.contents p in
   let kind = kind_of record in
-  Buffer.add_char t.buf magic;
-  W.put_uint t.buf kind;
-  W.put_uint t.buf (String.length payload);
-  Buffer.add_string t.buf payload;
-  Buffer.add_int64_le t.buf (Int64.of_int (record_digest ~kind payload))
+  C.seal frame t.buf kind (C.encode (List.assoc kind payloads) record)
 
 let compact t =
   match t.ckpts with
@@ -120,46 +107,29 @@ let compact t =
 let contents t = Buffer.contents t.buf
 let length t = Buffer.length t.buf
 
-(* One frame at the cursor.  [`Torn] means structural breakage — the
-   caller must stop; [`Entry] advances past the frame whatever the
-   payload's fate. *)
-let load_frame r =
-  if W.eof r then `End
-  else begin
-    try
-      if W.byte r <> Char.code magic then `Torn
-      else begin
-        let kind = W.get_uint r in
-        let len = W.get_uint r in
-        if len < 0 || r.W.pos + len + 8 > r.W.limit then `Torn
-        else begin
-          let payload = String.sub r.W.src r.W.pos len in
-          r.W.pos <- r.W.pos + len;
-          let d = Int64.to_int (String.get_int64_le r.W.src r.W.pos) in
-          r.W.pos <- r.W.pos + 8;
-          if record_digest ~kind payload <> d then
-            `Entry (Damaged { kind; reason = "checksum mismatch" })
-          else
-            match
-              let pr = W.reader payload in
-              let rec_ = get_payload kind pr in
-              if W.eof pr then Ok rec_ else Error "trailing bytes"
-            with
-            | Ok rec_ -> `Entry (Rec rec_)
-            | Error reason -> `Entry (Damaged { kind; reason })
-            | exception W.Short ->
-              `Entry (Damaged { kind; reason = "short payload" })
-        end
-      end
-    with W.Short -> `Torn
-  end
-
+(* Frames until the first structural break (a torn tail).  A frame
+   whose digest or payload is refused inside intact framing becomes
+   [Damaged] and the walk goes on past it. *)
 let load bytes =
   let r = W.reader bytes in
+  let damaged kind reason = Damaged { kind; reason } in
   let rec go acc =
-    match load_frame r with
-    | `End | `Torn -> List.rev acc
-    | `Entry e -> go (e :: acc)
+    if W.eof r then List.rev acc
+    else
+      match C.unseal frame r with
+      | Error _ -> List.rev acc
+      | Ok { C.header = kind; intact = false; _ } ->
+        go (damaged kind "checksum mismatch" :: acc)
+      | Ok { C.header = kind; pos; len; _ } ->
+        let entry =
+          match List.assoc_opt kind payloads with
+          | None -> damaged kind "unknown record kind"
+          | Some c -> (
+            match C.decode c ~pos ~len bytes with
+            | Ok rec_ -> Rec rec_
+            | Error e -> damaged kind (C.error_to_string e))
+        in
+        go (entry :: acc)
   in
   go []
 
@@ -182,33 +152,18 @@ let tear ~n bytes =
   String.sub bytes 0 keep
 
 let corrupt_last_checkpoint ~salt bytes =
-  (* Walk the frames re-deriving payload offsets, remember the newest
-     intact checkpoint's payload span, then flip one byte inside it. *)
+  (* Remember the newest checkpoint frame's payload span, then flip
+     one byte inside it. *)
   let r = W.reader bytes in
-  let last = ref None in
-  let rec walk () =
-    if not (W.eof r) then
-      match
-        (try
-           if W.byte r <> Char.code magic then None
-           else
-             let kind = W.get_uint r in
-             let len = W.get_uint r in
-             if len < 0 || r.W.pos + len + 8 > r.W.limit then None
-             else begin
-               let off = r.W.pos in
-               r.W.pos <- r.W.pos + len + 8;
-               Some (kind, off, len)
-             end
-         with W.Short -> None)
-      with
-      | None -> ()
-      | Some (kind, off, len) ->
-        if kind = 4 && len > 0 then last := Some (off, len);
-        walk ()
+  let rec walk last =
+    if W.eof r then last
+    else
+      match C.unseal frame r with
+      | Error _ -> last
+      | Ok { C.header = 4; pos; len; _ } when len > 0 -> walk (Some (pos, len))
+      | Ok _ -> walk last
   in
-  walk ();
-  match !last with
+  match walk None with
   | None -> None
   | Some (off, len) ->
     let b = Bytes.of_string bytes in

@@ -13,9 +13,8 @@
     falls back to an older one instead of amputating the journal at
     that point.
 
-    Records are checksummed with the wire protocol's own envelope
-    digest ({!Gist.Protocol.Encode.digest}) — one binary dialect in
-    the tree. *)
+    Records are {!Hw.Codec.sized_frame}s: magic byte and kind, the
+    length-prefixed payload, then its digest keyed by the kind. *)
 
 type record =
   | Submitted of { id : int; name : string; rejected : bool }

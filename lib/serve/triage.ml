@@ -8,7 +8,7 @@
    services fed the same submissions hold equal tables at any pool
    size. *)
 
-module W = Hw.Wirebuf
+module C = Hw.Codec
 
 type state = Open | Done of { round : int }
 
@@ -177,57 +177,39 @@ let views t =
 (* ------------------------------------------------------------------ *)
 (* Codec (embedded in the service checkpoint) *)
 
-let encode b t =
-  W.put_uint b t.max_clusters;
-  W.put_uint b t.recency_rounds;
-  W.put_uint b t.tick;
-  W.put_uint b t.evicted;
-  let cs = by_recency t in
-  W.put_uint b (List.length cs);
-  List.iter
-    (fun c ->
-      W.put_uint b c.c_fp;
-      W.put_uint b c.c_canonical;
-      W.put_string b c.c_name;
-      W.put_uint b c.c_count;
-      (match c.c_state with
-       | Open -> W.put_uint b 0
-       | Done { round } ->
-         W.put_uint b 1;
-         W.put_uint b round);
-      W.put_uint b c.c_digest;
-      W.put_uint b c.c_touch)
-    cs
+let cluster : cluster C.t =
+  C.(
+    record
+      (fun c_fp c_canonical c_name c_count c_state c_digest c_touch ->
+        { c_fp; c_canonical; c_name; c_count; c_state; c_digest; c_touch })
+      (fields
+      |+ (uint, fun c -> c.c_fp)
+      |+ (uint, fun c -> c.c_canonical)
+      |+ (string, fun c -> c.c_name)
+      |+ (uint, fun c -> c.c_count)
+      |+ ( variant
+             [
+               const 0 Open;
+               case 1 uint
+                 (function Done { round } -> Some round | Open -> None)
+                 (fun round -> Done { round });
+             ],
+           fun c -> c.c_state )
+      |+ (uint, fun c -> c.c_digest)
+      |+ (uint, fun c -> c.c_touch)))
 
-let decode r =
-  let max_clusters = W.get_uint r in
-  let recency_rounds = W.get_uint r in
-  let tick = W.get_uint r in
-  let evicted = W.get_uint r in
-  let t = { (create ~max_clusters ~recency_rounds) with tick; evicted } in
-  let n = W.get_uint r in
-  for _ = 1 to n do
-    let c_fp = W.get_uint r in
-    let c_canonical = W.get_uint r in
-    let c_name = W.get_string r in
-    let c_count = W.get_uint r in
-    let c_state =
-      match W.get_uint r with
-      | 0 -> Open
-      | 1 -> Done { round = W.get_uint r }
-      | _ -> raise W.Short
-    in
-    let c_digest = W.get_uint r in
-    let c_touch = W.get_uint r in
-    Hashtbl.replace t.tbl c_fp
-      { c_fp; c_canonical; c_name; c_count; c_state; c_digest; c_touch }
-  done;
-  t
+let codec =
+  C.(
+    record
+      (fun max_clusters recency_rounds tick evicted clusters ->
+        let t = { (create ~max_clusters ~recency_rounds) with tick; evicted } in
+        List.iter (fun c -> Hashtbl.replace t.tbl c.c_fp c) clusters;
+        t)
+      (fields
+      |+ (uint, fun t -> t.max_clusters)
+      |+ (uint, fun t -> t.recency_rounds)
+      |+ (uint, fun t -> t.tick)
+      |+ (uint, fun t -> t.evicted)
+      |+ (list cluster, by_recency)))
 
-let equal a b =
-  let enc t =
-    let b = Buffer.create 256 in
-    encode b t;
-    Buffer.contents b
-  in
-  enc a = enc b
+let equal a b = C.encode codec a = C.encode codec b

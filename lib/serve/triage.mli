@@ -67,10 +67,7 @@ val views : t -> view list
 (** {2 Codec} — embedded in the service checkpoint; encodes entries
     in last-touch order, so equal tables encode byte-identically. *)
 
-val encode : Buffer.t -> t -> unit
-
-(** @raise Hw.Wirebuf.Short on undecodable bytes. *)
-val decode : Hw.Wirebuf.reader -> t
+val codec : t Hw.Codec.t
 
 (** Byte-equality of the two tables' encodings. *)
 val equal : t -> t -> bool

@@ -405,17 +405,6 @@ let migration =
         match P.Encode.ingest ~session:5 ~n_instrs ~plan_id bytes with
         | Ok _ -> ()
         | Error r -> Alcotest.failf "ingest: %s" (P.reject_to_string r));
-    Alcotest.test_case "record validate mirrors the wire checks" `Quick
-      (fun () ->
-        let report, n_instrs, plan_id = Lazy.force fixture in
-        let env = P.seal ~session:4 ~client:0 ~plan_id report in
-        (match P.validate ~session:6 ~n_instrs ~plan_id env with
-         | Error (P.Wrong_session { expected = 6; got = 4 }) -> ()
-         | Error r -> Alcotest.failf "validate: %s" (P.reject_to_string r)
-         | Ok _ -> Alcotest.fail "mis-routed envelope accepted");
-        match P.validate ~session:4 ~n_instrs ~plan_id env with
-        | Ok _ -> ()
-        | Error r -> Alcotest.failf "validate: %s" (P.reject_to_string r));
   ]
 
 (* ------------------------------------------------------------------ *)

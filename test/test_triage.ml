@@ -413,9 +413,11 @@ let codec_roundtrip () =
   T.completed t ~fp:11 ~id:1 ~round:1 ~digest:77 ~ok:true;
   T.open_fresh t ~fp:22 ~name:"b" ~id:2;
   T.coalesce t ~fp:22;
-  let buf = Buffer.create 64 in
-  T.encode buf t;
-  let t' = T.decode (Hw.Wirebuf.reader (Buffer.contents buf)) in
+  let t' =
+    match Hw.Codec.decode T.codec (Hw.Codec.encode T.codec t) with
+    | Ok t' -> t'
+    | Error e -> Alcotest.failf "decode: %s" (Hw.Codec.error_to_string e)
+  in
   Alcotest.(check bool) "roundtrip equal" true (T.equal t t');
   Alcotest.(check bool) "views equal" true (T.views t = T.views t');
   T.coalesce t ~fp:22;
