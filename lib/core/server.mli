@@ -29,7 +29,7 @@ type iteration_info = {
   it_oracle_pass : bool;
   it_dispatched : int;  (** dispatches, including retries *)
   it_lost : int;        (** crashed / dropped / timed-out dispatches *)
-  it_rejected : int;    (** reports refused by {!Protocol.validate} *)
+  it_rejected : int;    (** reports refused by {!Protocol.Encode.ingest} *)
   it_retried : int;     (** re-dispatches after a loss or rejection *)
   it_quarantined : int; (** slots abandoned after [max_retries] *)
   it_degraded : bool;   (** valid reports stayed below quorum *)
@@ -207,8 +207,8 @@ module Session : sig
   (** {2 Crash-only snapshots}
 
       The full session state machine as versioned, digest-checked
-      bytes, built from the wire protocol's own varint and digest
-      machinery ({!Protocol.Encode}).  Derived state (slice, plans,
+      bytes: a {!Hw.Codec.frame} around one record codec that embeds
+      reports with {!Protocol.Encode.report}.  Derived state (slice, plans,
       watchpoint groups) is rebuilt deterministically at restore from
       the serialized tracked lists, so snapshots are O(slice + trace)
       and a restored session is a bit-identical continuation: the same
@@ -223,7 +223,8 @@ module Session : sig
     | Snapshot_bad_digest  (** framing intact, checksum wrong *)
     | Snapshot_mismatch of string
         (** valid bytes, wrong spec: bug name, ingest mode, early-exit
-            flag or program shape disagree with the restore arguments *)
+            flag or program shape disagree with the restore arguments,
+            or a tracked statement is not in the program *)
 
   val snapshot_error_to_string : snapshot_error -> string
 
@@ -236,7 +237,8 @@ module Session : sig
       bytes] rebuilds the session from {!snapshot} output plus the
       same create-time spec.  [config], [ingest] and [oracle] must
       match the original [create] (the codec cross-checks what it
-      can: bug name, ingest mode, early-exit flag, program shape). *)
+      can: bug name, ingest mode, early-exit flag, program shape).
+      Never raises on any bytes. *)
   val restore :
     ?config:Config.t ->
     ?ingest:ingest_mode ->
