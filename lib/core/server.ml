@@ -1134,8 +1134,7 @@ module Session = struct
         snapshot_version
     | Snapshot_bad_digest -> "snapshot digest mismatch (corrupt bytes)"
     | Snapshot_mismatch what ->
-      Printf.sprintf "snapshot disagrees with the spec it was restored \
-                      against: %s" what
+      Printf.sprintf "snapshot disagrees with its spec or itself: %s" what
 
   let of_codec_error : C.error -> snapshot_error = function
     | C.Bad_magic _ -> Snapshot_bad_magic
@@ -1273,6 +1272,23 @@ module Session = struct
         (in_program x_tracked
         && in_program (Option.value ~default:[] prev_tracked))
     then mismatch "tracked statement outside the program"
+    (* The gathering pass's counters, as [grant], [deliver] and
+       [consume] maintain them: grants never exceed the budget, only
+       delivered (here: granted) outcomes are consumed, every consumed
+       outcome is one slot, valid ones are a subset, and the client
+       counter only moves when a pass finishes. *)
+    else if not (g_consumed <= g_granted && g_granted <= g_budget) then
+      mismatch
+        (Printf.sprintf "gathering pass consumed %d of %d granted, budget %d"
+           g_consumed g_granted g_budget)
+    else if g_slots <> g_consumed || g_valid > g_slots then
+      mismatch
+        (Printf.sprintf "gathering pass %d valid of %d slots, %d consumed"
+           g_valid g_slots g_consumed)
+    else if client_counter <> g_base then
+      mismatch
+        (Printf.sprintf "client counter %d inside a pass based at %d"
+           client_counter g_base)
     else
       let t0 = Sys.time () in
       (* Plans are pure functions of (program, tracked), so the

@@ -222,9 +222,11 @@ module Session : sig
     | Snapshot_bad_version of int
     | Snapshot_bad_digest  (** framing intact, checksum wrong *)
     | Snapshot_mismatch of string
-        (** valid bytes, wrong spec: bug name, ingest mode, early-exit
-            flag or program shape disagree with the restore arguments,
-            or a tracked statement is not in the program *)
+        (** valid bytes, wrong spec or impossible state: bug name,
+            ingest mode, early-exit flag or program shape disagree with
+            the restore arguments, a tracked statement is not in the
+            program, or the gathering pass's counters contradict each
+            other (say more consumed than granted) *)
 
   val snapshot_error_to_string : snapshot_error -> string
 
@@ -237,7 +239,8 @@ module Session : sig
       bytes] rebuilds the session from {!snapshot} output plus the
       same create-time spec.  [config], [ingest] and [oracle] must
       match the original [create] (the codec cross-checks what it
-      can: bug name, ingest mode, early-exit flag, program shape).
+      can: bug name, ingest mode, early-exit flag, program shape, and
+      the gathering counters against each other).
       Never raises on any bytes. *)
   val restore :
     ?config:Config.t ->

@@ -337,11 +337,14 @@ let sized_frame ~key header = { fheader = header; key; sized = true }
 
 let put_digest b d = Buffer.add_int64_le b (Int64.of_int d)
 
+(* Digests are 62-bit, so a stored word with either top bit set is
+   damage: map it to -1, which no digest equals ([Int64.to_int] alone
+   would drop bit 63 and let a flip of it pass). *)
 let get_digest r =
   if r.W.limit - r.W.pos < 8 then raise W.Short;
-  let d = Int64.to_int (String.get_int64_le r.W.src r.W.pos) in
+  let d = String.get_int64_le r.W.src r.W.pos in
   r.W.pos <- r.W.pos + 8;
-  d
+  if Int64.shift_right_logical d 62 <> 0L then -1 else Int64.to_int d
 
 let seal f b h payload =
   f.fheader.put b h;

@@ -158,7 +158,7 @@ type 'h sealed = {
   header : 'h;
   pos : int;  (** payload start in the source string *)
   len : int;  (** payload length *)
-  intact : bool;  (** the digest matches *)
+  intact : bool;  (** the stored 8-byte word is exactly the digest *)
 }
 
 (** Read one frame at the reader's cursor and advance past it.

@@ -203,6 +203,17 @@ let envelope_tests =
         match envelope_verdicts bytes with
         | Error r, _ -> Alcotest.(check bool) "truncated" true (r = truncated)
         | Ok (), _ -> Alcotest.fail "accepted a negative count");
+    Alcotest.test_case "a flip of the digest's top bit is a checksum mismatch"
+      `Quick (fun () ->
+        let report, plan_id, _ = G.envelope_parts () in
+        let bytes = G.encode_envelope ~plan_id report in
+        let payload_len = String.length (C.encode P.Encode.report report) in
+        let top = String.length bytes - payload_len - 1 in
+        let b = Bytes.of_string bytes in
+        Bytes.set b top (Char.chr (Char.code (Bytes.get b top) lxor 0x80));
+        match envelope_verdicts (Bytes.to_string b) with
+        | Error P.Bad_checksum, Error P.Bad_checksum -> ()
+        | _ -> Alcotest.fail "accepted a damaged digest");
     total ~name:"envelope: arbitrary bytes" QCheck.string envelope_agrees;
     total ~name:"envelope: arbitrary payload behind a valid digest"
       QCheck.string (fun p -> envelope_agrees (reseal_envelope p));
@@ -231,6 +242,21 @@ let reseal_snapshot payload =
 let restores bytes =
   match G.restore_of (G.snapshot_spec ()) bytes with Ok _ | Error _ -> true
 
+(* The payload's last [n] varints (each ends at a byte below 0x80; a
+   bool is one such byte) split off its front: (front, values). *)
+let split_varints payload n =
+  let rec go stop n acc =
+    if n = 0 then (String.sub payload 0 stop, acc)
+    else
+      let start = ref (stop - 1) in
+      while !start > 0 && Char.code payload.[!start - 1] >= 0x80 do
+        decr start
+      done;
+      let v = W.get_uint (W.reader (String.sub payload !start (stop - !start))) in
+      go !start (n - 1) (v :: acc)
+  in
+  go (String.length payload) n []
+
 let snapshot_tests =
   [
     Alcotest.test_case "restore: an overlong varint at every payload offset"
@@ -251,6 +277,38 @@ let snapshot_tests =
       (fun ms ->
         let _, _, payload = snapshot_parts () in
         restores (reseal_snapshot (List.fold_left mutate payload ms)));
+    (* A snapshot ends with its gathering pass: budget, pass-1 summary
+       (None, one 0 byte, in pass 1), granted, consumed, stopped,
+       valid, slots.  Rewrite those counters and re-seal behind a
+       fresh digest. *)
+    Alcotest.test_case "restore: contradictory gathering counters are refused"
+      `Quick (fun () ->
+        let _, _, payload = snapshot_parts () in
+        match split_varints payload 7 with
+        | front, [ budget; 0; granted; consumed; stopped; valid; slots ] ->
+          let restore counters =
+            G.restore_of (G.snapshot_spec ())
+              (reseal_snapshot
+                 (front ^ String.concat "" (List.map (C.encode C.uint) counters)))
+          in
+          (match restore [ budget; 0; granted; consumed; stopped; valid; slots ] with
+           | Ok _ -> ()
+           | Error e -> Alcotest.failf "unchanged counters: %s" (snapshot_error e));
+          List.iter
+            (fun (what, counters) ->
+              match restore counters with
+              | Error (Gist.Server.Session.Snapshot_mismatch _) -> ()
+              | Error e -> Alcotest.failf "%s: %s" what (snapshot_error e)
+              | Ok _ -> Alcotest.failf "%s: restored" what)
+            [
+              ( "consumed > granted",
+                [ budget; 0; granted; granted + 1; stopped; valid; granted + 1 ] );
+              ( "granted > budget",
+                [ budget; 0; budget + 1; consumed; stopped; valid; slots ] );
+              ( "valid > slots",
+                [ budget; 0; granted; consumed; stopped; slots + 1; slots ] );
+            ]
+        | _ -> Alcotest.fail "the fixture's gathering pass is not in pass 1");
   ]
 
 (* --- journal and service state --- *)
