@@ -549,39 +549,35 @@ let print_service_stats (st : Serve.Service.stats) =
 
 (* The fuzz accuracy gate through the multiplexed path: same cases,
    same scoring, every diagnosable case one session of a shared
-   service (shrinking skipped). *)
-let fuzz_serve seed count jobs json min_accuracy faults =
-  let report, st = Serve.Gate.run ~jobs ?faults ~seed ~count () in
-  if json then print_string (Fuzz.Runner.to_json report)
-  else begin
-    Fmt.pr "%a" Fuzz.Runner.pp report;
-    print_service_stats st
-  end;
-  if Fuzz.Runner.min_pattern_accuracy report >= min_accuracy then 0 else 1
-
-(* The same gate under service faults: seeded kills between scheduler
-   rounds, torn journal tails and corrupted checkpoints ahead of every
-   recovery, poisoned sessions.  Two bars: worst-pattern accuracy over
-   the unpoisoned cases (recovery must be byte-identical), and full
-   containment of the poisoned ones (a poisoned session must come back
-   as a typed failure, never crash the service or vanish). *)
-let fuzz_serve_chaos seed count jobs json min_accuracy chaos_rate faults =
-  let rates = Faults.Chaos.spread chaos_rate in
-  let report, st, cs =
+   service (shrinking skipped).  With [--chaos] the service runs under
+   seeded faults: kills between scheduler rounds, torn journal tails
+   and corrupted checkpoints ahead of every recovery, poisoned
+   sessions.  Two bars: worst-pattern accuracy over the unpoisoned
+   cases (recovery must be byte-identical), and full containment of
+   the poisoned ones (a poisoned session must come back as a typed
+   failure, never crash the service or vanish). *)
+let fuzz_serve seed count jobs json min_accuracy chaos faults =
+  let rates =
+    match chaos with
+    | Some rate -> Faults.Chaos.spread rate
+    | None -> Faults.Chaos.zero
+  in
+  let report, oc, cs =
     Serve.Gate.run_chaos ~jobs ?faults ~rates ~seed ~count ()
   in
   if json then print_string (Fuzz.Runner.to_json report)
   else begin
     Fmt.pr "%a" Fuzz.Runner.pp report;
-    print_service_stats st;
-    Printf.printf
-      "chaos: %d kill(s) (%d torn, %d corrupted), %d failed recoveries, %d \
-       resubmitted; %d/%d poisoned session(s) contained; %d divergence(s)\n"
-      cs.Serve.Gate.cs_kills cs.cs_torn cs.cs_corrupted cs.cs_failed_recoveries
-      cs.cs_resubmitted cs.cs_contained cs.cs_poisoned cs.cs_divergences
+    print_service_stats oc.o_stats;
+    if chaos <> None then
+      Printf.printf
+        "chaos: %d kill(s) (%d torn, %d corrupted), %d failed recoveries, %d \
+         resubmitted; %d/%d poisoned session(s) contained; %d divergence(s)\n"
+        oc.o_kills oc.o_torn oc.o_corrupted oc.o_failed_recoveries
+        oc.o_resubmitted cs.cs_contained cs.cs_poisoned
+        oc.o_stats.st_divergences
   end;
-  let contained = cs.Serve.Gate.cs_contained = cs.cs_poisoned in
-  if not contained then begin
+  if cs.cs_contained <> cs.cs_poisoned then begin
     prerr_endline "chaos: a poisoned session escaped containment";
     1
   end
@@ -595,9 +591,7 @@ let fuzz_run seed count jobs json no_shrink min_accuracy save_failures
   | Some path, _ -> fuzz_replay path
   | None, Some dir -> fuzz_gen_corpus dir seed count jobs faults
   | None, None when serve ->
-    (match chaos with
-     | Some rate -> fuzz_serve_chaos seed count jobs json min_accuracy rate faults
-     | None -> fuzz_serve seed count jobs json min_accuracy faults)
+    fuzz_serve seed count jobs json min_accuracy chaos faults
   | None, None ->
     let report =
       Fuzz.Runner.run ~jobs ~shrink:(not no_shrink) ?faults ~seed ~count ()
@@ -814,10 +808,12 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
       Parallel.Pool.with_pool ~jobs (fun pool ->
           let svc = ref (Serve.Service.create ~sconfig ~pool ()) in
           (* SIGINT = graceful drain: already-accepted work finishes,
-             the journal keeps every record, nothing is half-done. *)
+             the journal keeps every record, nothing is half-done.  The
+             drain is a journaled input, so the handler only raises a
+             flag and [harvest] applies it between scheduler calls. *)
+          let drain_requested = Atomic.make false in
           Sys.set_signal Sys.sigint
-            (Sys.Signal_handle
-               (fun _ -> Serve.Service.request_drain !svc));
+            (Sys.Signal_handle (fun _ -> Atomic.set drain_requested true));
           let resolve =
             let tbl = Hashtbl.create (List.length specs) in
             List.iter
@@ -832,6 +828,8 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
           let harvested = ref [] in
           let sheds = ref [] in
           let harvest () =
+            if Atomic.get drain_requested then
+              Serve.Service.request_drain !svc;
             List.iter
               (fun (c : Serve.Service.completion) ->
                 if not (Hashtbl.mem seen c.c_id) then begin

@@ -185,74 +185,60 @@ let verdict_of_sketch (case : Gen.case) (sk : Fsketch.Sketch.t) =
     if accepted case top.Predict.Stats.predictor then Correct
     else Wrong_root_cause (describe case.c_program top.Predict.Stats.predictor)
 
-(* [check case]: divergence probe, failure probe, full [diagnose],
-   verdict.  Deterministic: every stage is a pure function of the
-   case, fault injection included ([c_faults] seeds its own stream).
-   The probes run unmonitored -- faults only touch the monitored
-   fleet.
+(* The outcome of a case decided without a diagnosis. *)
+let decided verdict =
+  { verdict; top = None; iterations = 0; total_runs = 0; fleet = None }
+
+type stage = Decided of outcome | Diagnose of F.report
+
+(* The probe stages: divergence, then the target failure. *)
+let prepare case =
+  match divergence case with
+  | Some d -> Decided (decided (Divergence d))
+  | None -> (
+    match (probe case).p_target with
+    | None -> Decided (decided No_failure)
+    | Some failure -> Diagnose failure)
+
+let oracle (case : Gen.case) (sk : Fsketch.Sketch.t) =
+  match sk.predictors with
+  | top :: _ -> accepted case top.Predict.Stats.predictor
+  | [] -> false
+
+(* Verdict scoring of a finished diagnosis. *)
+let of_diagnosis (case : Gen.case) (d : Gist.Server.diagnosis) =
+  {
+    verdict = verdict_of_sketch case d.sketch;
+    top =
+      (match d.sketch.predictors with
+       | t :: _ -> Some (describe case.c_program t.Predict.Stats.predictor)
+       | [] -> None);
+    iterations = d.iterations;
+    total_runs = d.total_runs;
+    fleet = Some d.fleet;
+  }
+
+(* [check case]: the probe stages, full [diagnose], verdict scoring.
+   Deterministic: every stage is a pure function of the case, fault
+   injection included ([c_faults] seeds its own stream).  The probes
+   run unmonitored -- faults only touch the monitored fleet.
 
    [early_exit] turns the sequential stopping rule on; [use_oracle]
    false drops the ground-truth accept oracle, modelling unattended
    production (the adaptive-vs-exhaustive comparisons run both modes
    this way so the stopping rule is the only difference). *)
 let check ?pool ?(early_exit = false) ?(use_oracle = true) (case : Gen.case) =
-  match divergence case with
-  | Some d ->
-    {
-      verdict = Divergence d;
-      top = None;
-      iterations = 0;
-      total_runs = 0;
-      fleet = None;
-    }
-  | None ->
-    (match probe case with
-     | { p_target = None; _ } ->
-       {
-         verdict = No_failure;
-         top = None;
-         iterations = 0;
-         total_runs = 0;
-         fleet = None;
-       }
-     | { p_target = Some failure; _ } ->
-       (try
-          let config =
-            { (config_of case) with Gist.Config.early_exit } in
-          let oracle =
-            if use_oracle then
-              Some
-                (fun (sk : Fsketch.Sketch.t) ->
-                  match sk.predictors with
-                  | top :: _ -> accepted case top.Predict.Stats.predictor
-                  | [] -> false)
-            else None
-          in
-          let d =
-            Gist.Server.diagnose ~config ?pool ?oracle
-              ~bug_name:case.c_name
-              ~failure_type:(F.kind_to_string failure.F.kind)
-              ~program:case.c_program
-              ~workload_of:(Gen.workload_of case)
-              ~failure ()
-          in
-          let top =
-            match d.Gist.Server.sketch.predictors with
-            | t :: _ -> Some (describe case.c_program t.Predict.Stats.predictor)
-            | [] -> None
-          in
-          {
-            verdict = verdict_of_sketch case d.Gist.Server.sketch;
-            top;
-            iterations = d.Gist.Server.iterations;
-            total_runs = d.Gist.Server.total_runs;
-            fleet = Some d.Gist.Server.fleet;
-          }
-        with e ->
-          {
-            verdict = Crash (Printexc.to_string e);
-            top = None;
-            iterations = 0;
-            total_runs = 0;
-            fleet = None;
-          }))
+  match prepare case with
+  | Decided o -> o
+  | Diagnose failure -> (
+    try
+      of_diagnosis case
+        (Gist.Server.diagnose
+           ~config:{ (config_of case) with Gist.Config.early_exit }
+           ?pool
+           ?oracle:(if use_oracle then Some (oracle case) else None)
+           ~bug_name:case.c_name
+           ~failure_type:(F.kind_to_string failure.F.kind)
+           ~program:case.c_program ~workload_of:(Gen.workload_of case) ~failure
+           ())
+    with e -> decided (Crash (Printexc.to_string e)))

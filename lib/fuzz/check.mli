@@ -64,10 +64,35 @@ type outcome = {
 
 val verdict_of_sketch : Gen.case -> Fsketch.Sketch.t -> verdict
 
-(** Divergence probe, failure probe, full {!Gist.Server.diagnose},
-    verdict.  A pure function of the case, fault injection included;
-    the probes run unmonitored (faults only touch the monitored
-    fleet).
+(** {2 Stages}
+
+    {!check} is these stages in order; callers that diagnose
+    elsewhere (the service gate) run the same stages around their own
+    diagnosis. *)
+
+(** What the probe stages decided about a case. *)
+type stage =
+  | Decided of outcome  (** divergence or no target failure *)
+  | Diagnose of Exec.Failure.report  (** the failure to diagnose *)
+
+(** The divergence probe, then the failure probe. *)
+val prepare : Gen.case -> stage
+
+(** The ground-truth accept oracle: the top predictor matches the
+    label. *)
+val oracle : Gen.case -> Fsketch.Sketch.t -> bool
+
+(** Verdict scoring of a finished diagnosis. *)
+val of_diagnosis : Gen.case -> Gist.Server.diagnosis -> outcome
+
+(** The outcome of a case decided without a diagnosis ([top] absent,
+    zero runs, no fleet). *)
+val decided : verdict -> outcome
+
+(** {!prepare}, full {!Gist.Server.diagnose}, {!of_diagnosis}; a
+    raise anywhere in diagnosis or scoring is a [Crash] verdict.  A
+    pure function of the case, fault injection included; the probes
+    run unmonitored (faults only touch the monitored fleet).
 
     [early_exit] (default false) turns the sequential stopping rule
     on; [use_oracle] false (default true) drops the ground-truth

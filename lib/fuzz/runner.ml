@@ -70,6 +70,19 @@ let stats_of cases =
           })
     Gen.all_patterns
 
+let case_report ?shrink (case : Gen.case) (o : Check.outcome) =
+  {
+    cr_name = case.Gen.c_name;
+    cr_pattern = case.Gen.c_pattern;
+    cr_seed = case.Gen.c_seed;
+    cr_verdict = o.Check.verdict;
+    cr_top = o.Check.top;
+    cr_iterations = o.Check.iterations;
+    cr_total_runs = o.Check.total_runs;
+    cr_shrink = shrink;
+    cr_fleet = o.Check.fleet;
+  }
+
 (* Not every (pattern, seed) is diagnosable: padding can make a
    schedule-dependent kernel fail too rarely (or too often) inside the
    probe window.  Each slot pre-draws [retries] candidate seeds and
@@ -97,7 +110,7 @@ let run_case ~shrink ~faults ~early_exit i seeds =
     match faults with None -> case | Some _ -> { case with Gen.c_faults = faults }
   in
   let o = Check.check ~early_exit case in
-  let cr_shrink =
+  let shrunk =
     if
       shrink
       && o.Check.verdict <> Check.Correct
@@ -105,17 +118,7 @@ let run_case ~shrink ~faults ~early_exit i seeds =
     then Some (Shrink.run case o.Check.verdict)
     else None
   in
-  {
-    cr_name = case.Gen.c_name;
-    cr_pattern = case.Gen.c_pattern;
-    cr_seed = case.Gen.c_seed;
-    cr_verdict = o.Check.verdict;
-    cr_top = o.Check.top;
-    cr_iterations = o.Check.iterations;
-    cr_total_runs = o.Check.total_runs;
-    cr_shrink;
-    cr_fleet = o.Check.fleet;
-  }
+  case_report ?shrink:shrunk case o
 
 let draw_slots ~retries ~seed ~count =
   let rng = Exec.Rng.create seed in

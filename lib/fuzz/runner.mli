@@ -52,6 +52,14 @@ val run :
   seed:int -> count:int ->
   unit -> report
 
+(** Per-pattern accuracy of a case list, as in {!report.r_stats}. *)
+val stats_of : case_report list -> pattern_stats list
+
+(** A case's report from its {!Check.outcome}; [shrink] is the
+    shrinker's result, if it ran. *)
+val case_report :
+  ?shrink:Shrink.result -> Gen.case -> Check.outcome -> case_report
+
 (** The exact case list a campaign with the same (seed, count,
     retries) checks, in slot order — for differential harnesses that
     compare diagnosis modes on the campaign's cases. *)

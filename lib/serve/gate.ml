@@ -1,11 +1,13 @@
 (* The fuzz accuracy gate, through the multiplexed path: the same
    campaign [Fuzz.Runner.run] checks one-shot — same cases, same
-   fault stamping, same oracle, same verdict scoring — but every
-   diagnosable case is diagnosed as one session of a shared
-   {!Service}, tens in flight at a time.
+   fault stamping, same probe stages, same oracle, same verdict
+   scoring — but every diagnosable case is diagnosed as one session
+   of a shared {!Service}, tens in flight at a time, driven by
+   {!Chaos.drive}.
 
    Because a multiplexed diagnosis is bit-identical to its one-shot
-   counterpart, the report (minus shrinking, which this gate skips)
+   counterpart, and zero chaos rates never kill or poison, the report
+   at [Faults.Chaos.zero] (minus shrinking, which this gate skips)
    matches [Fuzz.Runner.run ~shrink:false] verdict for verdict — so
    the worst-pattern accuracy bar holds through the service exactly
    when it holds one-shot. *)
@@ -15,189 +17,21 @@ module C = Fuzz.Check
 module R = Fuzz.Runner
 module FC = Faults.Chaos
 
-(* What the pre-service probe decided about one case. *)
-type prep =
-  | Verdict of C.verdict (* decided without diagnosing *)
-  | Diagnose of Exec.Failure.report
+type chaos_summary = { cs_poisoned : int; cs_contained : int }
 
-let prep_case (case : G.case) =
-  match C.divergence case with
-  | Some d -> Verdict (C.Divergence d)
-  | None ->
-    (match (C.probe case).C.p_target with
-     | None -> Verdict C.No_failure
-     | Some failure -> Diagnose failure)
-
-let spec_of ~early_exit (case : G.case) failure =
-  {
-    Service.sp_name = case.G.c_name;
-    sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-    sp_config = { (C.config_of case) with Gist.Config.early_exit };
-    sp_ingest = Gist.Server.Streaming;
-    sp_oracle =
-      Some
-        (fun (sk : Fsketch.Sketch.t) ->
-          match sk.predictors with
-          | top :: _ -> C.accepted case top.Predict.Stats.predictor
-          | [] -> false);
-    sp_program = case.G.c_program;
-    sp_workload_of = G.workload_of case;
-    sp_failure = failure;
-    sp_case = Some case;
-  }
-
-let report_of_diagnosis (case : G.case) (d : Gist.Server.diagnosis) =
-  let top =
-    match d.Gist.Server.sketch.predictors with
-    | t :: _ -> Some (C.describe case.G.c_program t.Predict.Stats.predictor)
-    | [] -> None
-  in
-  {
-    R.cr_name = case.G.c_name;
-    cr_pattern = case.G.c_pattern;
-    cr_seed = case.G.c_seed;
-    cr_verdict = C.verdict_of_sketch case d.Gist.Server.sketch;
-    cr_top = top;
-    cr_iterations = d.Gist.Server.iterations;
-    cr_total_runs = d.Gist.Server.total_runs;
-    cr_shrink = None;
-    cr_fleet = Some d.Gist.Server.fleet;
-  }
-
-let report_of_verdict (case : G.case) v =
-  {
-    R.cr_name = case.G.c_name;
-    cr_pattern = case.G.c_pattern;
-    cr_seed = case.G.c_seed;
-    cr_verdict = v;
-    cr_top = None;
-    cr_iterations = 0;
-    cr_total_runs = 0;
-    cr_shrink = None;
-    cr_fleet = None;
-  }
-
-(* [Runner.stats_of], which is not exported: per-pattern accuracy in
-   [Gen.all_patterns] order, empty patterns skipped. *)
-let stats_of cases =
-  List.filter_map
-    (fun p ->
-      let of_p = List.filter (fun cr -> cr.R.cr_pattern = p) cases in
-      if of_p = [] then None
-      else
-        Some
-          {
-            R.ps_pattern = p;
-            ps_total = List.length of_p;
-            ps_correct =
-              List.length
-                (List.filter (fun cr -> cr.R.cr_verdict = C.Correct) of_p);
-          })
-    G.all_patterns
-
-let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
-    ?(sconfig = Service.default) ~seed ~count () =
+let run_chaos ?(jobs = 0) ?faults ~rates ~seed ~count () =
   let cases =
     List.map
       (fun case ->
         match faults with
         | None -> case
         | Some _ -> { case with G.c_faults = faults })
-      (R.cases ~retries ~seed ~count ())
+      (R.cases ~seed ~count ())
   in
   Parallel.Pool.with_pool ~jobs (fun pool ->
       (* Pre-service probes fan out across the pool; order preserved. *)
-      let preps =
-        Parallel.Pool.map_array pool prep_case (Array.of_list cases)
-      in
-      let svc = Service.create ~sconfig ~pool () in
-      (* Submit every diagnosable case, riding the backpressure: a
-         [Busy] reject runs a scheduler round and retries, so the
-         in-flight window stays saturated without unbounded queueing. *)
-      let tickets = Hashtbl.create (List.length cases) in
-      List.iteri
-        (fun i case ->
-          match preps.(i) with
-          | Verdict _ -> ()
-          | Diagnose failure ->
-            let spec = spec_of ~early_exit case failure in
-            let rec push () =
-              match Service.submit svc spec with
-              | Ok (Service.Ticket id) -> Hashtbl.replace tickets id i
-              | Ok (Service.Coalesced _) ->
-                (* Unreachable: the gate runs without triage. *)
-                ()
-              | Error (Service.Busy _ | Service.Shed _) ->
-                ignore (Service.step svc);
-                push ()
-            in
-            push ())
-        cases;
-      Service.drain svc;
-      let by_case = Hashtbl.create (List.length cases) in
-      let by_fail = Hashtbl.create 4 in
-      List.iter
-        (fun (c : Service.completion) ->
-          match (Hashtbl.find_opt tickets c.Service.c_id, c.Service.c_result) with
-          | Some i, Ok d -> Hashtbl.replace by_case i d
-          | Some i, Error f ->
-            (* Contained session failure: booked as a crash verdict,
-               never as a missing case. *)
-            Hashtbl.replace by_fail i (Service.session_failure_to_string f)
-          | None, _ -> ())
-        (Service.completions svc);
-      let reports =
-        List.mapi
-          (fun i case ->
-            match preps.(i) with
-            | Verdict v -> report_of_verdict case v
-            | Diagnose _ ->
-              (match Hashtbl.find_opt by_case i with
-               | Some d -> report_of_diagnosis case d
-               | None ->
-                 (match Hashtbl.find_opt by_fail i with
-                  | Some detail -> report_of_verdict case (C.Crash detail)
-                  | None ->
-                    (* Unreachable after [drain]: every submission was
-                       admitted (the push loop retries Busy) and every
-                       admitted session completes — diagnosed or as a
-                       typed failure. *)
-                    report_of_verdict case (C.Crash "session never completed"))))
-          cases
-      in
-      ( {
-          R.r_seed = seed;
-          r_count = count;
-          r_cases = reports;
-          r_stats = stats_of reports;
-          r_faults = faults;
-        },
-        Service.stats svc ))
-
-type chaos_summary = {
-  cs_kills : int;
-  cs_torn : int;
-  cs_corrupted : int;
-  cs_resubmitted : int;
-  cs_failed_recoveries : int;
-  cs_poisoned : int;
-  cs_contained : int;
-  cs_divergences : int;
-}
-
-let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
-    ?(sconfig = Service.default) ~rates ~seed ~count () =
-  let cases =
-    List.map
-      (fun case ->
-        match faults with
-        | None -> case
-        | Some _ -> { case with G.c_faults = faults })
-      (R.cases ~retries ~seed ~count ())
-  in
-  Parallel.Pool.with_pool ~jobs (fun pool ->
-      let preps =
-        Parallel.Pool.map_array pool prep_case (Array.of_list cases)
+      let stages =
+        Parallel.Pool.map_array pool C.prepare (Array.of_list cases)
       in
       (* Every diagnosable case's spec, poison applied up front — the
          resolver must hand recovery the poisoned spec, or a replayed
@@ -205,25 +39,22 @@ let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
       let specs = Hashtbl.create (List.length cases) in
       List.iteri
         (fun i case ->
-          match preps.(i) with
-          | Verdict _ -> ()
-          | Diagnose failure ->
-            let sp =
-              Chaos.poison_spec ~rates ~seed
-                (spec_of ~early_exit case failure)
-            in
-            Hashtbl.replace specs case.G.c_name (i, sp))
+          match stages.(i) with
+          | C.Decided _ -> ()
+          | C.Diagnose failure ->
+            Hashtbl.replace specs case.G.c_name
+              (Chaos.poison_spec ~rates ~seed
+                 (Stream.case_spec ~early_exit:false ~oracle:(C.oracle case)
+                    ~name:case.G.c_name case failure)))
         cases;
-      let resolve name =
-        Option.map snd (Hashtbl.find_opt specs name)
-      in
+      let resolve name = Hashtbl.find_opt specs name in
       let spec_list =
-        List.filter_map
-          (fun case ->
-            Option.map snd (Hashtbl.find_opt specs case.G.c_name))
-          cases
+        List.filter_map (fun case -> resolve case.G.c_name) cases
       in
-      let svc = Service.create ~sconfig ~pool () in
+      let svc = Service.create ~pool () in
+      (* Submit every diagnosable case, riding the backpressure: a
+         [Busy] reject runs a scheduler round and retries, so the
+         in-flight window stays saturated without unbounded queueing. *)
       List.iter
         (fun sp ->
           let rec push () =
@@ -248,9 +79,9 @@ let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
         List.concat
           (List.mapi
              (fun i case ->
-               match preps.(i) with
-               | Verdict v -> [ report_of_verdict case v ]
-               | Diagnose _ ->
+               match stages.(i) with
+               | C.Decided o -> [ R.case_report case o ]
+               | C.Diagnose _ ->
                  let name = case.G.c_name in
                  let completion = Hashtbl.find_opt by_name name in
                  if FC.poisoned rates ~seed ~name then begin
@@ -265,15 +96,17 @@ let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
                  end
                  else
                    [
-                     (match completion with
-                      | Some { Service.c_result = Ok d; _ } ->
-                        report_of_diagnosis case d
-                      | Some { Service.c_result = Error f; _ } ->
-                        report_of_verdict case
-                          (C.Crash (Service.session_failure_to_string f))
-                      | None ->
-                        report_of_verdict case
-                          (C.Crash "session never completed"));
+                     R.case_report case
+                       (match completion with
+                        | Some { Service.c_result = Ok d; _ } ->
+                          C.of_diagnosis case d
+                        | Some { Service.c_result = Error f; _ } ->
+                          (* Contained session failure: booked as a
+                             crash verdict, never as a missing case. *)
+                          C.decided
+                            (C.Crash (Service.session_failure_to_string f))
+                        | None ->
+                          C.decided (C.Crash "session never completed"));
                    ])
              cases)
       in
@@ -281,17 +114,8 @@ let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
           R.r_seed = seed;
           r_count = count;
           r_cases = reports;
-          r_stats = stats_of reports;
+          r_stats = R.stats_of reports;
           r_faults = faults;
         },
-        oc.Chaos.o_stats,
-        {
-          cs_kills = oc.Chaos.o_kills;
-          cs_torn = oc.Chaos.o_torn;
-          cs_corrupted = oc.Chaos.o_corrupted;
-          cs_resubmitted = oc.Chaos.o_resubmitted;
-          cs_failed_recoveries = oc.Chaos.o_failed_recoveries;
-          cs_poisoned = !poisoned;
-          cs_contained = !contained;
-          cs_divergences = oc.Chaos.o_stats.Service.st_divergences;
-        } ))
+        oc,
+        { cs_poisoned = !poisoned; cs_contained = !contained } ))

@@ -1,58 +1,40 @@
 (** The fuzz accuracy gate through the multiplexed path: the exact
     campaign {!Fuzz.Runner.run} checks one-shot — same cases, fault
-    stamping, oracle and verdict scoring — with every diagnosable case
-    diagnosed as one session of a shared {!Service} (shrinking
-    skipped).  Because multiplexed diagnoses are bit-identical to
-    their one-shot counterparts, the report matches
-    [Fuzz.Runner.run ~shrink:false] verdict for verdict. *)
+    stamping, probe stages, oracle and verdict scoring
+    ({!Fuzz.Check}'s stages) — with every diagnosable case diagnosed
+    as one session of a shared {!Service} (shrinking skipped), driven
+    by {!Chaos.drive}. *)
 
-(** [run ~seed ~count ()] returns the campaign report plus the
-    service's scheduling ledger.  [sconfig] (default
-    {!Service.default}) shapes the multiplexing; submissions refused
-    with [Busy] are retried after a scheduler round, so the in-flight
-    window stays saturated without unbounded queueing. *)
-val run :
-  ?jobs:int ->
-  ?retries:int ->
-  ?faults:Faults.Fault.rates * int ->
-  ?early_exit:bool ->
-  ?sconfig:Service.sconfig ->
-  seed:int ->
-  count:int ->
-  unit ->
-  Fuzz.Runner.report * Service.stats
+(** Poisoned sessions ({!Faults.Chaos.poisoned}) and how many of them
+    completed as typed failures — the two must be equal. *)
+type chaos_summary = { cs_poisoned : int; cs_contained : int }
 
-(** What the chaos campaign did on top of the fuzz verdicts. *)
-type chaos_summary = {
-  cs_kills : int;
-  cs_torn : int;
-  cs_corrupted : int;
-  cs_resubmitted : int;
-  cs_failed_recoveries : int;
-  cs_poisoned : int;    (** sessions {!Faults.Chaos.poisoned} *)
-  cs_contained : int;   (** poisoned sessions that completed as typed
-                            failures — must equal [cs_poisoned] *)
-  cs_divergences : int; (** recovery audit mismatches, final ledger *)
-}
+(** [run_chaos ~rates ~seed ~count ()] returns the campaign report,
+    what {!Chaos.drive} did (kills, recoveries, the final service
+    incarnation's ledger) and the poison containment count.
+    Submissions refused with [Busy] are retried after a scheduler
+    round, so the in-flight window stays saturated without unbounded
+    queueing; the service runs {!Service.default}.
 
-(** {!run} under service faults: the same campaign driven by
-    {!Chaos.drive} — seeded kills between rounds, torn journal tails
-    and corrupted checkpoints ahead of recovery, poisoned sessions.
-
-    Poisoned cases are excluded from the report's accuracy statistics
-    (their diagnosis is destroyed by design; what the gate checks is
+    Under [rates] the service faults of {!Chaos.drive} apply: seeded
+    kills between rounds, torn journal tails and corrupted
+    checkpoints ahead of recovery, poisoned sessions.  Poisoned cases
+    are excluded from the report's accuracy statistics (their
+    diagnosis is destroyed by design; what the gate checks is
     containment, via [cs_contained]); every other case must come back
     with the same verdict as the unkilled service — recovery is
     byte-identical — so the worst-pattern accuracy bar carries over
-    unchanged. *)
+    unchanged.
+
+    At {!Faults.Chaos.zero} nothing is killed or poisoned, and since
+    multiplexed diagnoses are bit-identical to their one-shot
+    counterparts the report matches [Fuzz.Runner.run ~shrink:false]
+    verdict for verdict. *)
 val run_chaos :
   ?jobs:int ->
-  ?retries:int ->
   ?faults:Faults.Fault.rates * int ->
-  ?early_exit:bool ->
-  ?sconfig:Service.sconfig ->
   rates:Faults.Chaos.rates ->
   seed:int ->
   count:int ->
   unit ->
-  Fuzz.Runner.report * Service.stats * chaos_summary
+  Fuzz.Runner.report * Chaos.outcome * chaos_summary

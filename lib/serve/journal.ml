@@ -6,15 +6,15 @@ module W = Hw.Wirebuf
 module C = Hw.Codec
 
 type record =
-  | Submitted of { id : int; name : string; rejected : bool }
   | Round of { round : int; digest : int }
   | Completed of { id : int; digest : int }
   | Checkpoint of { round : int; state : string }
-  | Triaged of { id : int; name : string; fp : int; disp : int }
+  | Submitted of { id : int; name : string; fp : int; disp : int }
+  | Drained of { round : int }
 
-(* Triaged payloads carry their own version byte: the disposition
+(* Submitted payloads carry their own version byte: the disposition
    vocabulary can grow without a journal-wide version bump. *)
-let triaged_version = 1
+let submitted_version = 1
 
 type entry = Rec of record | Damaged of { kind : int; reason : string }
 
@@ -35,25 +35,20 @@ let frame =
     ~key:(fun kind -> [ 3; kind; 0; version ])
     C.(magic byte 0xA7 *> uint)
 
+(* Kind 1 held the pre-triage submission record; it is retired, so
+   an old frame of that kind loads as [Damaged]. *)
 let kind_of = function
-  | Submitted _ -> 1
   | Round _ -> 2
   | Completed _ -> 3
   | Checkpoint _ -> 4
-  | Triaged _ -> 5
+  | Submitted _ -> 5
+  | Drained _ -> 6
 
 (* Each kind's payload codec; [append] picks it by [kind_of], so a
    codec only ever encodes records of its own kind. *)
 let payloads : (int * record C.t) list =
   C.
     [
-      ( 1,
-        conv
-          (function
-            | Submitted { id; name; rejected } -> (id, name, rejected)
-            | _ -> assert false)
-          (fun (id, name, rejected) -> Submitted { id; name; rejected })
-          (triple uint string bool) );
       ( 2,
         conv
           (function Round { round; digest } -> (round, digest) | _ -> assert false)
@@ -71,13 +66,18 @@ let payloads : (int * record C.t) list =
           (fun (round, state) -> Checkpoint { round; state })
           (pair uint string) );
       ( 5,
-        versioned triaged_version
+        versioned submitted_version
           (conv
              (function
-               | Triaged { id; name; fp; disp } -> (id, name, (fp, disp))
+               | Submitted { id; name; fp; disp } -> (id, name, (fp, disp))
                | _ -> assert false)
-             (fun (id, name, (fp, disp)) -> Triaged { id; name; fp; disp })
+             (fun (id, name, (fp, disp)) -> Submitted { id; name; fp; disp })
              (triple uint string (pair uint uint))) );
+      ( 6,
+        conv
+          (function Drained { round } -> round | _ -> assert false)
+          (fun round -> Drained { round })
+          uint );
     ]
 
 let create () = { buf = Buffer.create 4096; ckpts = [] }
@@ -85,7 +85,7 @@ let create () = { buf = Buffer.create 4096; ckpts = [] }
 let append t record =
   (match record with
    | Checkpoint _ -> t.ckpts <- Buffer.length t.buf :: t.ckpts
-   | Submitted _ | Round _ | Completed _ | Triaged _ -> ());
+   | Round _ | Completed _ | Submitted _ | Drained _ -> ());
   let kind = kind_of record in
   C.seal frame t.buf kind (C.encode (List.assoc kind payloads) record)
 

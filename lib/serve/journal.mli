@@ -1,8 +1,8 @@
-(** The service's write-ahead journal: every scheduler decision that
-    cannot be re-derived — accepted and rejected submissions, the
-    per-round audit digest, completions handed to the caller — plus
-    periodic full-state checkpoints, as self-framed, checksummed
-    records.
+(** The service's write-ahead journal: every input and scheduler
+    decision that cannot be re-derived — submissions whatever their
+    fate, drain requests, the per-round audit digest, completions
+    handed to the caller — plus periodic full-state checkpoints, as
+    self-framed, checksummed records.
 
     Recovery contract: a crash can tear the tail of the byte stream
     (a partially flushed record) and can damage any record in place
@@ -14,12 +14,11 @@
     that point.
 
     Records are {!Hw.Codec.sized_frame}s: magic byte and kind, the
-    length-prefixed payload, then its digest keyed by the kind. *)
+    length-prefixed payload, then its digest keyed by the kind.  Kind
+    1 (the pre-triage submission record) is retired: such a frame
+    loads as [Damaged "unknown record kind"]. *)
 
 type record =
-  | Submitted of { id : int; name : string; rejected : bool }
-      (** an admission decision; rejected submissions are journaled
-          too, so replay reproduces ticket ids exactly *)
   | Round of { round : int; digest : int }
       (** one scheduler round completed; [digest] folds the served
           sessions' audit state — recovery compares it to detect
@@ -30,15 +29,20 @@ type record =
   | Checkpoint of { round : int; state : string }
       (** full service snapshot after [round]; [state] is
           {!Service}'s own codec output *)
-  | Triaged of { id : int; name : string; fp : int; disp : int }
-      (** a triage-gated admission decision (replaces [Submitted]
-          when the service runs with triage on): the submission's
-          fingerprint and its disposition — fresh-lane ticket,
+  | Submitted of { id : int; name : string; fp : int; disp : int }
+      (** one submission and its admission decision (kind 5), whether
+          or not the service triages: the fingerprint ([0] without
+          triage) and the disposition — fresh-lane ticket,
           recurrence-lane ticket, coalesced, shed, or busy-rejected
-          ({!Service} owns the encoding).  The payload carries its own
-          version byte so the disposition vocabulary can grow without
-          a journal-wide bump; replay re-derives the decision through
-          the real [submit] and audits it against this record *)
+          ({!Service} owns the encoding).  Refusals are journaled too,
+          so replay reproduces ticket ids exactly.  The payload carries
+          its own version byte so the disposition vocabulary can grow
+          without a journal-wide bump; replay re-derives the decision
+          through the real [submit] and audits it against this record *)
+  | Drained of { round : int }
+      (** the service stopped admitting after [round] (kind 6); replay
+          re-applies the drain at the same point of the record stream,
+          so later refusals replay as refusals *)
 
 (** What {!load} recovered a frame into. *)
 type entry =

@@ -22,10 +22,11 @@
    produces is bit-identical (all fields but host time) to the same
    spec run through the one-shot [Gist.Server.diagnose].
 
-   Crash-only lifecycle: the journal records exactly the decisions
-   that cannot be re-derived — admissions (accepted and rejected, so
-   ticket ids replay exactly), per-round audit digests, completion
-   digests — plus periodic full-state checkpoints.  [recover] =
+   Crash-only lifecycle: the journal records exactly the inputs and
+   decisions that cannot be re-derived — submissions (accepted and
+   refused, so ticket ids replay exactly), drain requests, per-round
+   audit digests, completion digests — plus periodic full-state
+   checkpoints.  [recover] =
    restore the newest intact checkpoint, then re-run the journaled
    tail through the very same [submit]/[step] code, auditing replayed
    digests against journaled ones.  Everything a round does is a pure
@@ -170,7 +171,7 @@ type lane = Fresh_lane | Recur_lane
 
 let lane_label = function Fresh_lane -> "fresh" | Recur_lane -> "recur"
 
-(* Journal disposition codes for [Journal.Triaged]. *)
+(* Journal disposition codes for [Journal.Submitted]. *)
 let disp_fresh = 0
 and disp_recur = 1
 and disp_coalesced = 2
@@ -315,17 +316,53 @@ let jrnl t r =
 
 let mix = Faults.Fault.mix
 
+(* Every field the diagnosis differential compares, folded one word
+   at a time (floats by their bits): [Hashtbl.hash] of a whole record
+   stops after ten meaningful words and would leave the tail of a
+   trace entry or of the fleet ledger outside the audit. *)
 let diagnosis_digest (d : Server.diagnosis) =
-  let ds = mix 0x6A09 (Hashtbl.hash (Fsketch.Render.render d.sketch)) in
-  let ds = mix ds d.iterations in
-  let ds = mix ds d.recurrences in
-  let ds = mix ds d.total_runs in
-  let ds = mix ds d.final_sigma in
-  let ds = List.fold_left mix ds d.tracked in
-  let ds =
-    List.fold_left (fun acc it -> mix acc (Hashtbl.hash it)) ds d.trace
+  let ints = List.fold_left mix in
+  let float acc x =
+    let b = Int64.bits_of_float x in
+    mix
+      (mix acc (Int64.to_int (Int64.shift_right_logical b 32)))
+      (Int64.to_int (Int64.logand b 0xFFFF_FFFFL))
   in
-  mix ds (Hashtbl.hash d.fleet)
+  let bool acc b = mix acc (Bool.to_int b) in
+  let assoc acc l =
+    List.fold_left
+      (fun acc (k, v) -> mix (mix acc (Hashtbl.hash k)) v)
+      (mix acc (List.length l)) l
+  in
+  let iteration acc (it : Server.iteration_info) =
+    let acc =
+      ints acc
+        [ it.it_sigma; it.it_tracked; it.it_fails; it.it_succs; it.it_clients;
+          it.it_dispatched; it.it_lost; it.it_rejected; it.it_retried;
+          it.it_quarantined ]
+    in
+    let acc = float acc it.it_avg_overhead in
+    let acc = bool (bool acc it.it_oracle_pass) it.it_degraded in
+    mix acc
+      (match it.it_early_exit with
+       | None -> 0
+       | Some Server.Separated -> 1
+       | Some Server.Converged -> 2)
+  in
+  let f = d.fleet in
+  let ds = mix 0x6A09 (Hashtbl.hash (Fsketch.Render.render d.sketch)) in
+  let ds =
+    ints ds [ d.iterations; d.recurrences; d.total_runs; d.final_sigma ]
+  in
+  let ds = float ds d.avg_overhead_pct in
+  let ds = ints (mix ds (List.length d.tracked)) d.tracked in
+  let ds = List.fold_left iteration (mix ds (List.length d.trace)) d.trace in
+  let ds =
+    ints ds
+      [ f.f_dispatched; f.f_delivered; f.f_valid; f.f_lost; f.f_rejected;
+        f.f_retried; f.f_quarantined; f.f_degraded_iters ]
+  in
+  assoc (assoc ds f.f_by_kind) f.f_by_reason
 
 let result_digest = function
   | Ok d -> diagnosis_digest d
@@ -671,125 +708,104 @@ let shed_newest_recurrence t =
    and replays exactly: submitted = completed + rejected + coalesced
    + shed + queued + in-flight.
 
+   Without triage every submission is [New] with fingerprint 0 and
+   the recurrence lane stays empty, so [room] reduces to the plain
+   queue bound.
+
    [submit_triaged] additionally returns the journal disposition code
-   so the recovery replay can audit re-derived decisions; the public
-   [submit] discards it. *)
+   and the fingerprint so the recovery replay can audit re-derived
+   decisions; the public [submit] discards them. *)
 let submit_triaged t spec =
   t.submitted <- t.submitted + 1;
   let id = t.submitted in
   let name = spec.sp_name in
-  match t.triage with
-  | None ->
-    (* Triage off: the original single-queue admission, journaled as
-       [Submitted]. *)
-    let refuse () =
-      t.rejected <- t.rejected + 1;
-      jrnl t (Journal.Submitted { id; name; rejected = true });
-      ( Error
-          (Busy
-             {
-               inflight = inflight t;
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_busy,
-        0 )
-    in
-    if t.draining then refuse ()
-    else if Queue.length t.queue >= t.cfg.max_queue && t.cfg.max_queue > 0 then
-      refuse ()
-    else if t.cfg.max_queue = 0 && inflight t >= t.cfg.max_inflight then
-      (* No queue at all: admission happens next [step]; refuse once
-         the in-flight cap alone is saturated. *)
-      refuse ()
-    else begin
-      Queue.add
-        { p_id = id; p_spec = spec; p_fp = 0; p_round = t.rounds; p_revert = None }
-        t.queue;
-      jrnl t (Journal.Submitted { id; name; rejected = false });
-      (Ok (Ticket id), disp_fresh, 0)
-    end
-  | Some tri ->
-    let fp = fingerprint_of_spec spec in
-    let record disp = jrnl t (Journal.Triaged { id; name; fp; disp }) in
-    let busy () =
-      t.rejected <- t.rejected + 1;
-      record disp_busy;
-      ( Error
-          (Busy
-             {
-               inflight = inflight t;
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_busy )
-    in
-    let shed () =
-      t.shed <- t.shed + 1;
-      record disp_shed;
-      ( Error
-          (Shed
-             {
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_shed )
-    in
-    (* Is there room for one more pending ticket?  [`Evict] when only
-       shedding a queued recurrence can make room. *)
-    let room =
-      if t.cfg.max_queue = 0 then
-        if inflight t >= t.cfg.max_inflight then `No else `Yes
-      else if queued t >= t.cfg.max_queue then
-        if Queue.is_empty t.rqueue then `No else `Evict
-      else `Yes
-    in
-    let res, disp =
-      if t.draining then busy ()
-      else
-        match Triage.classify tri ~round:t.rounds fp with
-        | Triage.Duplicate { canonical; count } ->
-          (* In flight or recently diagnosed: fold into the cluster.
-             Costs no capacity, so it succeeds even at the queue bound
-             — a storm of duplicates cannot saturate the service. *)
-          Triage.coalesce tri ~fp;
-          t.coalesced <- t.coalesced + 1;
-          record disp_coalesced;
-          (Ok (Coalesced { canonical; count = count + 1 }), disp_coalesced)
-        | Triage.New -> (
-          (* A fresh bug sheds a queued recurrence before it accepts
-             [Busy]: a recurrence storm must not starve first
-             diagnoses. *)
-          match room with
-          | `No -> busy ()
-          | `Evict | `Yes ->
-            (if room = `Evict then
-               match shed_newest_recurrence t with
-               | Some _ -> ()
-               | None -> assert false);
-            Triage.open_fresh tri ~fp ~name ~id;
-            Queue.add
-              { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
-                p_revert = None }
-              t.queue;
-            record disp_fresh;
-            (Ok (Ticket id), disp_fresh))
-        | Triage.Recurrence { canonical; done_round } -> (
-          match room with
-          | `No | `Evict ->
-            (* Recurrences are the shed class: at the bound they are
-               refused with [Shed], never queued over fresh work. *)
-            shed ()
-          | `Yes ->
-            Triage.reopen tri ~fp ~name ~id;
-            Queue.add
-              { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
-                p_revert = Some (canonical, done_round) }
-              t.rqueue;
-            record disp_recur;
-            (Ok (Ticket id), disp_recur))
-    in
-    (res, disp, fp)
+  let fp =
+    match t.triage with None -> 0 | Some _ -> fingerprint_of_spec spec
+  in
+  let record disp = jrnl t (Journal.Submitted { id; name; fp; disp }) in
+  let with_triage f = Option.iter f t.triage in
+  let busy () =
+    t.rejected <- t.rejected + 1;
+    record disp_busy;
+    ( Error
+        (Busy
+           {
+             inflight = inflight t;
+             queued = queued t;
+             retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
+           }),
+      disp_busy )
+  in
+  let shed () =
+    t.shed <- t.shed + 1;
+    record disp_shed;
+    ( Error
+        (Shed
+           {
+             queued = queued t;
+             retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
+           }),
+      disp_shed )
+  in
+  (* Is there room for one more pending ticket?  [`Evict] when only
+     shedding a queued recurrence can make room. *)
+  let room =
+    if t.cfg.max_queue = 0 then
+      if inflight t >= t.cfg.max_inflight then `No else `Yes
+    else if queued t >= t.cfg.max_queue then
+      if Queue.is_empty t.rqueue then `No else `Evict
+    else `Yes
+  in
+  let res, disp =
+    if t.draining then busy ()
+    else
+      match
+        match t.triage with
+        | None -> Triage.New
+        | Some tri -> Triage.classify tri ~round:t.rounds fp
+      with
+      | Triage.Duplicate { canonical; count } ->
+        (* In flight or recently diagnosed: fold into the cluster.
+           Costs no capacity, so it succeeds even at the queue bound
+           — a storm of duplicates cannot saturate the service. *)
+        with_triage (fun tri -> Triage.coalesce tri ~fp);
+        t.coalesced <- t.coalesced + 1;
+        record disp_coalesced;
+        (Ok (Coalesced { canonical; count = count + 1 }), disp_coalesced)
+      | Triage.New -> (
+        (* A fresh bug sheds a queued recurrence before it accepts
+           [Busy]: a recurrence storm must not starve first
+           diagnoses. *)
+        match room with
+        | `No -> busy ()
+        | `Evict | `Yes ->
+          (if room = `Evict then
+             match shed_newest_recurrence t with
+             | Some _ -> ()
+             | None -> assert false);
+          with_triage (fun tri -> Triage.open_fresh tri ~fp ~name ~id);
+          Queue.add
+            { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
+              p_revert = None }
+            t.queue;
+          record disp_fresh;
+          (Ok (Ticket id), disp_fresh))
+      | Triage.Recurrence { canonical; done_round } -> (
+        match room with
+        | `No | `Evict ->
+          (* Recurrences are the shed class: at the bound they are
+             refused with [Shed], never queued over fresh work. *)
+          shed ()
+        | `Yes ->
+          with_triage (fun tri -> Triage.reopen tri ~fp ~name ~id);
+          Queue.add
+            { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
+              p_revert = Some (canonical, done_round) }
+            t.rqueue;
+          record disp_recur;
+          (Ok (Ticket id), disp_recur))
+  in
+  (res, disp, fp)
 
 let submit t spec =
   let res, _disp, _fp = submit_triaged t spec in
@@ -1208,7 +1224,13 @@ let journal_bytes t =
 
 let checkpoint t = do_checkpoint t
 
-let request_drain t = t.draining <- true
+(* Drain is an input like a submission: journaled, so a replay refuses
+   exactly the submissions the live service refused. *)
+let request_drain t =
+  if not t.draining then begin
+    t.draining <- true;
+    jrnl t (Journal.Drained { round = t.rounds })
+  end
 
 let shutdown t =
   request_drain t;
@@ -1261,42 +1283,12 @@ let recover ?(pool = Parallel.Pool.sequential) ~resolve bytes =
     let tail = List.filteri (fun i _ -> i > idx) entries in
     let replay entry =
         match entry with
-        | Journal.Rec (Journal.Submitted { id; name; rejected }) ->
-          if rejected then begin
-            (* The spec is not needed to replay a refusal — only the
-               counters (and the journal record) matter. *)
-            t.submitted <- t.submitted + 1;
-            t.rejected <- t.rejected + 1;
-            jrnl t (Journal.Submitted { id = t.submitted; name; rejected = true });
-            if t.submitted <> id then t.divergences <- t.divergences + 1
-          end
-          else begin
-            let sp = resolve_exn resolve name in
-            (* Draining refuses submissions; the original journal can
-               only hold an accepted record from before the drain, so
-               lift the flag for the replayed call. *)
-            let was_draining = t.draining in
-            t.draining <- false;
-            (match submit t sp with
-             | Ok (Ticket id') ->
-               if id' <> id then t.divergences <- t.divergences + 1
-             | Ok (Coalesced _) | Error _ ->
-               t.divergences <- t.divergences + 1);
-            t.draining <- was_draining
-          end
-        | Journal.Rec (Journal.Triaged { id; name; fp; disp }) ->
-          (* Triage decisions are pure functions of service state, so
+        | Journal.Rec (Journal.Submitted { id; name; fp; disp }) ->
+          (* Admission decisions are pure functions of service state, so
              replay re-derives them through the real [submit] and
              audits the re-derived disposition (and fingerprint, and
              ticket id) against the journaled one. *)
-          let sp = resolve_exn resolve name in
-          let accepted =
-            disp = disp_fresh || disp = disp_recur || disp = disp_coalesced
-          in
-          let was_draining = t.draining in
-          if accepted then t.draining <- false;
-          let res, disp', fp' = submit_triaged t sp in
-          t.draining <- was_draining;
+          let res, disp', fp' = submit_triaged t (resolve_exn resolve name) in
           let id_ok =
             match res with
             | Ok (Ticket id') -> id' = id
@@ -1304,6 +1296,9 @@ let recover ?(pool = Parallel.Pool.sequential) ~resolve bytes =
           in
           if disp' <> disp || fp' <> fp || not id_ok then
             t.divergences <- t.divergences + 1
+        | Journal.Rec (Journal.Drained { round }) ->
+          request_drain t;
+          if t.rounds <> round then t.divergences <- t.divergences + 1
         | Journal.Rec (Journal.Completed { id; digest }) ->
           Hashtbl.replace t.expected id digest
         | Journal.Rec (Journal.Round { round; digest }) ->

@@ -194,6 +194,13 @@ type stats = {
   st_evicted_clusters : int;  (** Done clusters dropped by the LRU bound *)
 }
 
+(** The completion audit digest of a diagnosis: every field but the
+    two host-time ones ([offline_time_s], [online_time_s]) and the
+    slice, floats by their bits.  Journaled with each completion and
+    folded into the triage cluster table; recovery audits replayed
+    completions against it. *)
+val diagnosis_digest : Gist.Server.diagnosis -> int
+
 type t
 
 (** [journal] (default true) turns the write-ahead journal on; pass
@@ -209,9 +216,12 @@ val queued : t -> int
 (** Ticket a session for admission, coalesce a duplicate onto its
     cluster (triage only), or refuse with typed backpressure/shedding.
     Ticket ids are unique and become the session's wire-protocol
-    session key.  Always refuses while draining.  With triage on, the
-    fingerprint is computed here (one slice of an already-memoised
-    program) and the decision is journaled as a [Triaged] record. *)
+    session key.  Always refuses while draining.  Triage off is the
+    same admission code with no classifier: every submission is
+    fresh, with fingerprint 0.  With triage on, the fingerprint is
+    computed here (one slice of an already-memoised program).  Every
+    decision, refusals included, is journaled as one
+    {!Journal.record.Submitted} record. *)
 val submit : t -> spec -> (admission, sreject) result
 
 (** One scheduler round (evict expired, admit, grant, run, deliver —
@@ -304,7 +314,9 @@ val checkpoint : t -> bool
 
 (** Stop admitting: every later {!submit} is refused.  Already-queued
     and in-flight sessions still run to completion, so the ledger
-    balances at shutdown. *)
+    balances at shutdown.  The drain is journaled
+    ({!Journal.record.Drained}), so recovery replays it; call it
+    between service calls, not from a signal handler. *)
 val request_drain : t -> unit
 
 (** Graceful shutdown: {!request_drain}, run every remaining session
@@ -331,11 +343,14 @@ val rerror_to_string : rerror -> string
     later journaled decision — re-submitting through [resolve],
     re-running rounds — auditing the replayed digests against the
     journaled ones ([st_divergences]).  Scheduler shape comes from the
-    checkpoint, not the caller, so replay matches the original.
+    checkpoint, not the caller, so replay matches the original.  A
+    journaled drain is re-applied where it happened, so submissions
+    refused while draining replay as refusals.
 
     [resolve] maps a bug name back to its spec (specs hold closures
     and cannot live in the journal); it must supply every name the
-    journal mentions.
+    journal mentions — refused submissions included, since replay
+    re-runs every submission through {!submit}.
 
     The recovered service owns a fresh journal (seeded with a new
     initial checkpoint), so a second kill recovers the same way. *)

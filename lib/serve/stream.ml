@@ -56,38 +56,35 @@ let bugbase_spec ?(early_exit = true) ?faults ?(tweak = Fun.id) ~name
         sp_case = None;
       }
 
-(* A fuzz case's spec: the campaign's bounded fleet configuration,
-   the case's own fault environment when stamped, no oracle.  [None]
-   when the case is not diagnosable (engine divergence, or the target
-   failure never manifests in the probe window). *)
-let fuzz_spec ?(early_exit = true) ?faults ?(tweak = Fun.id) ~name
-    (case : Fuzz.Gen.case) =
+(* A diagnosable fuzz case's spec: the campaign's bounded fleet
+   configuration and the case's own fault environment when stamped. *)
+let case_spec ?(early_exit = true) ?(tweak = Fun.id) ?oracle ~name
+    (case : Fuzz.Gen.case) failure =
+  {
+    Service.sp_name = name;
+    sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+    sp_config =
+      tweak { (Fuzz.Check.config_of case) with Gist.Config.early_exit };
+    sp_ingest = Gist.Server.Streaming;
+    sp_oracle = oracle;
+    sp_program = case.Fuzz.Gen.c_program;
+    sp_workload_of = Fuzz.Gen.workload_of case;
+    sp_failure = failure;
+    sp_case = Some case;
+  }
+
+(* [None] when the case is not diagnosable (engine divergence, or the
+   target failure never manifests in the probe window). *)
+let fuzz_spec ?early_exit ?faults ?tweak ~name (case : Fuzz.Gen.case) =
   let case =
     match faults with
     | None -> case
     | Some _ -> { case with Fuzz.Gen.c_faults = faults }
   in
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       let config =
-         { (Fuzz.Check.config_of case) with Gist.Config.early_exit }
-       in
-       Some
-         {
-           Service.sp_name = name;
-           sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = tweak config;
-           sp_ingest = Gist.Server.Streaming;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-           sp_case = Some case;
-         })
+  match Fuzz.Check.prepare case with
+  | Fuzz.Check.Decided _ -> None
+  | Fuzz.Check.Diagnose failure ->
+    Some (case_spec ?early_exit ?tweak ~name case failure)
 
 (* The shared base population: all diagnosable Bugbase bugs plus
    [fuzz_count] fuzz cases. *)

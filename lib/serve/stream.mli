@@ -20,9 +20,21 @@ val bugbase_spec :
   Bugbase.Common.t ->
   Service.spec option
 
-(** One fuzz-case session spec under the campaign's bounded fleet
-    configuration; [None] when the case is not diagnosable (engine
-    divergence, or no target failure in the probe window). *)
+(** The session spec of a fuzz case whose target [failure] is known:
+    the campaign's bounded fleet configuration, streaming ingest,
+    adaptive early exit on by default, no oracle unless given. *)
+val case_spec :
+  ?early_exit:bool ->
+  ?tweak:(Gist.Config.t -> Gist.Config.t) ->
+  ?oracle:(Fsketch.Sketch.t -> bool) ->
+  name:string ->
+  Fuzz.Gen.case ->
+  Exec.Failure.report ->
+  Service.spec
+
+(** {!case_spec} after {!Fuzz.Check.prepare}'s probe stages; [None]
+    when the case is not diagnosable (engine divergence, or no target
+    failure in the probe window). *)
 val fuzz_spec :
   ?early_exit:bool ->
   ?faults:Faults.Fault.rates * int ->

@@ -323,15 +323,33 @@ let bugbase_chaos () =
 (* ------------------------------------------------------------------ *)
 (* Journal codec and damage model. *)
 
+(* An accepted and a refused submission (fresh-lane ticket and
+   busy-rejected dispositions) and a drain. *)
 let sample_records =
   [
-    J.Submitted { id = 1; name = "pbzip2"; rejected = false };
-    J.Submitted { id = 2; name = "curl"; rejected = true };
+    J.Submitted { id = 1; name = "pbzip2"; fp = 0; disp = 0 };
+    J.Submitted { id = 2; name = "curl"; fp = 0x2BADF00D; disp = 4 };
     J.Round { round = 1; digest = 0x1234ABCD };
     J.Completed { id = 1; digest = 0x77FF0011 };
     J.Checkpoint { round = 1; state = "state bytes \x00\xff here" };
     J.Round { round = 2; digest = 42 };
+    J.Drained { round = 2 };
   ]
+
+(* A frame of the retired kind-1 submission record, as journals
+   written before the one-record format hold it: the v1 framing
+   around an (id, name, rejected) payload. *)
+let kind1_frame =
+  let frame =
+    Hw.Codec.(
+      sized_frame
+        ~key:(fun kind -> [ 3; kind; 0; 1 ])
+        (magic byte 0xA7 *> uint))
+  in
+  let buf = Buffer.create 32 in
+  Hw.Codec.seal frame buf 1
+    Hw.Codec.(encode (triple uint string bool) (1, "pbzip2", false));
+  Buffer.contents buf
 
 let journal_tests =
   [
@@ -390,6 +408,17 @@ let journal_tests =
         match List.nth entries 5 with
         | J.Rec (J.Round { round = 2; digest = 42 }) -> ()
         | _ -> Alcotest.fail "the record after the damage did not load");
+    Alcotest.test_case "a retired kind-1 frame loads as Damaged" `Quick
+      (fun () ->
+        let j = J.create () in
+        J.append j (J.Round { round = 1; digest = 7 });
+        match J.load (kind1_frame ^ J.contents j) with
+        | [ J.Damaged { kind = 1; reason = "unknown record kind" };
+            J.Rec (J.Round { round = 1; digest = 7 }) ] ->
+          ()
+        | entries ->
+          Alcotest.failf "%d entries, expected Damaged then the round"
+            (List.length entries));
     Alcotest.test_case "file roundtrip" `Quick (fun () ->
         let j = J.create () in
         List.iter (J.append j) sample_records;
@@ -403,6 +432,85 @@ let journal_tests =
               Alcotest.(check string) "bytes back" (J.contents j) bytes
             | None -> Alcotest.fail "load_file found nothing"));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Drain is a journaled input: submissions refused after
+   [request_drain] replay as refusals, with triage on and off. *)
+
+let drain_replay ~triage () =
+  let specs =
+    List.filteri (fun i _ -> i < 6) Bugbase.Registry.all
+    |> List.map (bugbase_spec ~faults:false)
+  in
+  let svc = Svc.create ~sconfig:{ tight with Svc.triage } () in
+  List.iteri
+    (fun i sp ->
+      if i = 3 then begin
+        ignore (Svc.step svc : bool);
+        Svc.request_drain svc
+      end;
+      match (Svc.submit svc sp, i < 3) with
+      | Ok (Svc.Ticket _), true | Error (Svc.Busy _), false -> ()
+      | _ -> Alcotest.failf "submission %d: unexpected admission decision" i)
+    specs;
+  ignore (Svc.step svc : bool);
+  match Svc.recover ~resolve:(resolver specs) (Svc.journal_bytes svc) with
+  | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e)
+  | Ok recovered ->
+    let live = Svc.stats svc and st = Svc.stats recovered in
+    Alcotest.(check int) "no replay divergences" 0 st.Svc.st_divergences;
+    Alcotest.(check int) "admitted" live.Svc.st_admitted st.Svc.st_admitted;
+    Alcotest.(check int) "rejected" live.Svc.st_rejected st.Svc.st_rejected;
+    Alcotest.(check bool) "recovered ledger = live ledger" true (st = live)
+
+(* ------------------------------------------------------------------ *)
+(* The completion audit digest covers every field the diagnosis
+   differential compares (host time aside): changing any one of them
+   moves it. *)
+
+let digest_covers_every_field () =
+  let b = Option.get (Bugbase.Registry.find "Pbzip2") in
+  let d = one_shot (bugbase_spec ~faults:true b) in
+  let on_last f l =
+    match List.rev l with
+    | x :: tl -> List.rev (f x :: tl)
+    | [] -> Alcotest.fail "empty list in the reference diagnosis"
+  in
+  let bump_last = on_last (fun (k, v) -> (k, v + 1)) in
+  let trace f = { d with S.trace = on_last f d.S.trace } in
+  let fleet f = { d with S.fleet = f d.S.fleet } in
+  let variants =
+    [
+      ( "it_early_exit",
+        trace (fun it ->
+            {
+              it with
+              S.it_early_exit =
+                (match it.S.it_early_exit with
+                 | None -> Some S.Converged
+                 | Some _ -> None);
+            }) );
+      ( "it_degraded",
+        trace (fun it -> { it with S.it_degraded = not it.S.it_degraded }) );
+      ( "it_quarantined",
+        trace (fun it ->
+            { it with S.it_quarantined = it.S.it_quarantined + 1 }) );
+      ( "last f_by_kind entry",
+        fleet (fun f -> { f with S.f_by_kind = bump_last f.S.f_by_kind }) );
+      ( "last f_by_reason entry",
+        fleet (fun f -> { f with S.f_by_reason = bump_last f.S.f_by_reason }) );
+      ( "avg_overhead_pct",
+        { d with S.avg_overhead_pct = Float.succ d.S.avg_overhead_pct } );
+    ]
+  in
+  let base = Svc.diagnosis_digest d in
+  List.iter
+    (fun (what, d') ->
+      Alcotest.(check bool)
+        (what ^ " moves the digest")
+        true
+        (Svc.diagnosis_digest d' <> base))
+    variants
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint corruption during recovery: the newest checkpoint is
@@ -700,6 +808,18 @@ let () =
         [
           Alcotest.test_case "corrupted checkpoint falls back and replays"
             `Quick corrupted_checkpoint_fallback;
+        ] );
+      ( "drain",
+        [
+          Alcotest.test_case "a drain replays as a drain, triage off" `Quick
+            (drain_replay ~triage:false);
+          Alcotest.test_case "a drain replays as a drain, triage on" `Quick
+            (drain_replay ~triage:true);
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "the completion digest covers every field" `Quick
+            digest_covers_every_field;
         ] );
       ("containment", containment_tests);
       ("snapshot", snapshot_tests);

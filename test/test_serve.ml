@@ -524,6 +524,31 @@ let corpus =
           served);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The service gate at zero chaos reports exactly what the one-shot
+   campaign does (shrinking aside), verdict for verdict. *)
+
+let gate_equals_one_shot ~faults () =
+  let faults = if faults then Some (Faults.Fault.spread 0.10, 42) else None in
+  let one_shot = Fuzz.Runner.run ~shrink:false ?faults ~seed:42 ~count:25 () in
+  let gated, _, _ =
+    Serve.Gate.run_chaos ?faults ~rates:Faults.Chaos.zero ~seed:42 ~count:25 ()
+  in
+  Alcotest.(check bool) "same case reports" true
+    (one_shot.Fuzz.Runner.r_cases = gated.Fuzz.Runner.r_cases);
+  Alcotest.(check string) "same JSON report"
+    (Fuzz.Runner.to_json one_shot)
+    (Fuzz.Runner.to_json gated)
+
+let gate =
+  [
+    Alcotest.test_case "gate at zero chaos = one-shot campaign" `Quick
+      (gate_equals_one_shot ~faults:false);
+    Alcotest.test_case "gate at zero chaos = one-shot campaign, 10% faults"
+      `Quick
+      (gate_equals_one_shot ~faults:true);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -551,4 +576,5 @@ let () =
       ("admission", admission);
       ("migration", migration);
       ("session-id", session_id_independence);
+      ("gate", gate);
     ]
