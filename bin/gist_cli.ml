@@ -31,7 +31,7 @@ let jobs_arg =
 
 let resolve_jobs = function
   | Some n -> min (max 0 n) (Parallel.Jobs.available ())
-  | None -> Parallel.Jobs.effective ()
+  | None -> Parallel.Jobs.default ()
 
 (* Exit codes: 1 = usage/other error, 2 = program under test failed,
    3 = no failing run found (nothing to diagnose). *)
@@ -568,14 +568,14 @@ let fuzz_serve seed count jobs json min_accuracy chaos faults =
   if json then print_string (Fuzz.Runner.to_json report)
   else begin
     Fmt.pr "%a" Fuzz.Runner.pp report;
-    print_service_stats oc.o_stats;
+    let st = Serve.Service.stats oc.o_service in
+    print_service_stats st;
     if chaos <> None then
       Printf.printf
         "chaos: %d kill(s) (%d torn, %d corrupted), %d failed recoveries, %d \
          resubmitted; %d/%d poisoned session(s) contained; %d divergence(s)\n"
         oc.o_kills oc.o_torn oc.o_corrupted oc.o_failed_recoveries
-        oc.o_resubmitted cs.cs_contained cs.cs_poisoned
-        oc.o_stats.st_divergences
+        oc.o_resubmitted cs.cs_contained cs.cs_poisoned st.st_divergences
   end;
   if cs.cs_contained <> cs.cs_poisoned then begin
     prerr_endline "chaos: a poisoned session escaped containment";
@@ -696,11 +696,12 @@ let fuzz_cmd =
    invariant broke (leaked or incomplete sessions); 3 when the stream
    is empty.
 
-   Crash-only wiring: --journal persists the write-ahead journal,
-   --kill-at-round kills the service mid-run and continues on the
-   recovered incarnation (a live demonstration of [Service.recover]),
-   --status prints a live per-session snapshot, and SIGINT requests a
-   graceful drain (stop admitting, finish in-flight, flush the
+   The stream runs through [Serve.Chaos.drive].  Crash-only wiring:
+   --journal persists the write-ahead journal, --kill-at-round K
+   hands the driver one undamaged kill after round K (it recovers
+   from the journal and carries on), --status prints a per-session
+   snapshot after the first round, and SIGINT requests a graceful
+   drain (stop admitting, finish what was accepted, flush the
    journal) instead of dying mid-round. *)
 
 let print_status views =
@@ -739,7 +740,7 @@ let print_clusters views =
 (* Per-cluster artifacts: the canonical diagnosis's sketch, and — when
    the bug came from the fuzzer — a shrunk standalone reproducer (.gir
    with its ground truth) that re-triggers the same cluster. *)
-let emit_reproducers dir ~resolve ~completions views =
+let emit_reproducers dir ~specs ~completions views =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let by_id = Hashtbl.create 16 in
   List.iter
@@ -756,7 +757,11 @@ let emit_reproducers dir ~resolve ~completions views =
          close_out oc;
          incr emitted
        | Some { Serve.Service.c_result = Error _; _ } | None -> ());
-      match resolve v.Serve.Triage.v_name with
+      match
+        List.find_opt
+          (fun (sp : Serve.Service.spec) -> sp.sp_name = v.Serve.Triage.v_name)
+          specs
+      with
       | Some { Serve.Service.sp_case = Some case; _ } ->
         let verdict =
           match Hashtbl.find_opt by_id v.v_canonical with
@@ -806,104 +811,49 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
     | [] -> exit_no_failure
     | specs ->
       Parallel.Pool.with_pool ~jobs (fun pool ->
-          let svc = ref (Serve.Service.create ~sconfig ~pool ()) in
           (* SIGINT = graceful drain: already-accepted work finishes,
              the journal keeps every record, nothing is half-done.  The
              drain is a journaled input, so the handler only raises a
-             flag and [harvest] applies it between scheduler calls. *)
+             flag and the per-round hook applies it between scheduler
+             calls. *)
           let drain_requested = Atomic.make false in
           Sys.set_signal Sys.sigint
             (Sys.Signal_handle (fun _ -> Atomic.set drain_requested true));
-          let resolve =
-            let tbl = Hashtbl.create (List.length specs) in
-            List.iter
-              (fun (sp : Serve.Service.spec) ->
-                Hashtbl.replace tbl sp.sp_name sp)
-              specs;
-            fun name -> Hashtbl.find_opt tbl name
+          let on_round tick svc =
+            if Atomic.get drain_requested then Serve.Service.request_drain svc;
+            (* Admission happens at round start, so the first round's
+               end is the first point the ring shows the fleet. *)
+            if status && tick = 1 then begin
+              print_status (Serve.Service.status svc);
+              if Serve.Service.triage_enabled svc then begin
+                print_lanes (Serve.Service.lanes svc);
+                print_clusters (Serve.Service.clusters svc)
+              end
+            end
           in
-          (* Recovery replays completions at-least-once; dedup by
-             ticket id, first sighting wins. *)
-          let seen = Hashtbl.create (List.length specs) in
-          let harvested = ref [] in
-          let sheds = ref [] in
-          let harvest () =
-            if Atomic.get drain_requested then
-              Serve.Service.request_drain !svc;
-            List.iter
-              (fun (c : Serve.Service.completion) ->
-                if not (Hashtbl.mem seen c.c_id) then begin
-                  Hashtbl.replace seen c.c_id ();
-                  harvested := c :: !harvested
-                end)
-              (Serve.Service.take_completions !svc);
-            sheds := !sheds @ Serve.Service.take_shed !svc
-          in
-          let submit_all () =
-            List.iter
-              (fun sp ->
-                let rec push () =
-                  match Serve.Service.submit !svc sp with
-                  | Ok _ -> ()
-                  | Error (Serve.Service.Shed _) ->
-                    (* Load shedding is final for this submission: the
-                       recurrence was refused under load, typed and
-                       booked — the client backs off, not the CLI. *)
-                    ()
-                  | Error (Serve.Service.Busy _) ->
-                    (* Saturated: run a round, harvest, retry. *)
-                    ignore (Serve.Service.step !svc);
-                    harvest ();
-                    push ()
-                in
-                push ())
-              specs
+          let kills tick =
+            if Some tick = kill_at then
+              { Faults.Chaos.no_plan with Faults.Chaos.p_kill = true }
+            else Faults.Chaos.no_plan
           in
           let t0 = Unix.gettimeofday () in
-          submit_all ();
-          if status then begin
-            (* Admission happens at round start, so a freshly
-               submitted stream has an empty ring until the first
-               step; run one round so the snapshot shows the fleet. *)
-            ignore (Serve.Service.step !svc : bool);
-            harvest ();
-            print_status (Serve.Service.status !svc);
-            if Serve.Service.triage_enabled !svc then begin
-              print_lanes (Serve.Service.lanes !svc);
-              print_clusters (Serve.Service.clusters !svc)
-            end
-          end;
-          let killed = ref false in
-          let rec run () =
-            if Serve.Service.step !svc then begin
-              harvest ();
-              (match kill_at with
-               | Some k
-                 when (not !killed)
-                      && (Serve.Service.stats !svc).st_rounds >= k ->
-                 killed := true;
-                 let bytes = Serve.Service.journal_bytes !svc in
-                 (match Serve.Service.recover ~pool ~resolve bytes with
-                  | Ok svc' ->
-                    Printf.printf
-                      "killed at round %d; recovered from %d journal \
-                       byte(s)\n"
-                      k (String.length bytes);
-                    svc := svc'
-                  | Error e ->
-                    prerr_endline (Serve.Service.rerror_to_string e))
-               | _ -> ());
-              run ()
-            end
+          let oc =
+            Serve.Chaos.drive ~pool ~kills ~on_round ~specs
+              (Serve.Service.create ~sconfig ~pool ())
           in
-          run ();
-          harvest ();
           let wall = Unix.gettimeofday () -. t0 in
+          let svc = oc.o_service in
+          (match kill_at with
+           | Some k when oc.o_failed_recoveries > 0 ->
+             Printf.eprintf "kill at round %d: recovery refused\n" k
+           | Some k when oc.o_kills > 0 ->
+             Printf.printf "killed at round %d; recovered from the journal\n" k
+           | Some _ | None -> ());
           (match journal_file with
            | Some path ->
-             Serve.Journal.save_file path (Serve.Service.journal_bytes !svc)
+             Serve.Journal.save_file path (Serve.Service.journal_bytes svc)
            | None -> ());
-          let last = List.rev !harvested in
+          let last = List.map snd oc.o_done in
           if summary then
             List.iter
               (fun (c : Serve.Service.completion) ->
@@ -919,31 +869,31 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
                     (Serve.Service.session_failure_to_string f)
                     c.c_admitted_round c.c_completed_round)
               last;
-          let st = Serve.Service.stats !svc in
+          let st = Serve.Service.stats svc in
           print_service_stats st;
-          if Serve.Service.triage_enabled !svc && status then begin
-            print_lanes (Serve.Service.lanes !svc);
-            print_clusters (Serve.Service.clusters !svc)
+          if Serve.Service.triage_enabled svc && status then begin
+            print_lanes (Serve.Service.lanes svc);
+            print_clusters (Serve.Service.clusters svc)
           end;
           List.iter
             (fun (sh : Serve.Service.shed_notice) ->
               Printf.printf
                 "shed: ticket %d (%s) at round %d; retry after %d round(s)\n"
                 sh.sh_id sh.sh_name sh.sh_round sh.sh_retry_after_rounds)
-            !sheds;
+            oc.o_shed;
           Printf.printf "throughput: %.1f sessions/s (%d sessions in %.2fs)\n"
             (float_of_int st.st_completed /. wall)
             st.st_completed wall;
           (match reproducer_dir with
-           | Some dir when Serve.Service.triage_enabled !svc ->
-             emit_reproducers dir ~resolve ~completions:last
-               (Serve.Service.clusters !svc)
+           | Some dir when Serve.Service.triage_enabled svc ->
+             emit_reproducers dir ~specs ~completions:last
+               (Serve.Service.clusters svc)
            | Some _ | None -> ());
           let balanced =
             st.st_submitted
             = st.st_completed + st.st_rejected + st.st_coalesced + st.st_shed
-            && Serve.Service.inflight !svc = 0
-            && Serve.Service.queued !svc = 0
+            && Serve.Service.inflight svc = 0
+            && Serve.Service.queued svc = 0
             && List.length last = st.st_completed
           in
           if not balanced then begin
@@ -1023,7 +973,7 @@ let serve_cmd =
          & info [ "status" ]
              ~doc:"Print a live per-session snapshot (rounds waited, slots, \
                    strikes, iteration, sigma, valid reports) after the \
-                   submission phase.")
+                   first scheduler round.")
   in
   let journal_file =
     Arg.(value & opt (some string) None

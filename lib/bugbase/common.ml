@@ -123,21 +123,6 @@ let root_cause_iids (bug : t) = iids_for_lines bug bug.root_lines
    across seeds without clustering. *)
 let seed_of_client c = (c * 2654435761) land 0x3FFFFFFF
 
-(* Find a failing seed quickly (used by tests and examples). *)
-let find_failing_run ?(max_runs = 1000) ?(max_steps = 400_000) (bug : t) =
-  let rec go c =
-    if c >= max_runs then None
-    else
-      let r =
-        Exec.Interp.run ~max_steps ~preempt_prob:bug.preempt_prob bug.program
-          (bug.workload_of c)
-      in
-      match r.outcome with
-      | Exec.Interp.Failed rep -> Some (c, rep)
-      | Exec.Interp.Success -> go (c + 1)
-  in
-  go 0
-
 (* Does a report match the Table 1 failure this bug models? *)
 let is_target_failure (bug : t) (rep : Exec.Failure.report) =
   Exec.Failure.kind_tag rep.kind = bug.target_kind_tag

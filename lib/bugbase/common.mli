@@ -50,10 +50,6 @@ val root_cause_iids : t -> iid list
 (** Deterministic client-index to seed spreading. *)
 val seed_of_client : int -> int
 
-(** First failing run of any kind among production workloads. *)
-val find_failing_run :
-  ?max_runs:int -> ?max_steps:int -> t -> (int * Exec.Failure.report) option
-
 (** Does a report match the Table 1 failure this bug models
     (kind tag + manifestation line)? *)
 val is_target_failure : t -> Exec.Failure.report -> bool

@@ -150,16 +150,15 @@ let enc_arena = Parallel.Pool.worker_local (fun () -> Protocol.Encode.arena ())
    [need]'s internal advance, so a driver only ever sees "give me N
    slots" or "finished".
 
-   The consume fold is a verbatim transplant of the old
-   [Pool.map_until] consume body, with the same slot numbering (a
-   pass's slot [i] is client [pass base + i]) and the same stopping
-   point: outcomes delivered after the fold stops are discarded
-   unconsumed exactly like [map_until]'s speculative surplus, and the
-   pass's consumed count includes the outcome whose consume said stop.
-   That makes any driver — the one-shot wrapper batching like
-   [map_until], or a scheduler interleaving dozens of sessions — fold
-   the identical outcome sequence, so every field of the diagnosis but
-   host time is bit-identical whatever the multiplexing. *)
+   The consume fold is in slot order: a pass's slot [i] is client
+   [pass base + i], and the fold consumes outcomes until one says
+   stop.  That outcome is counted as consumed; every outcome delivered
+   after it is discarded unconsumed, so a driver may speculate by
+   granting more slots than the fold will take.  That makes any
+   driver — the one-shot wrapper, or a scheduler interleaving dozens
+   of sessions — fold the identical outcome sequence, so every field
+   of the diagnosis but host time is bit-identical whatever the
+   multiplexing. *)
 module Session = struct
   type need = Slots of int | Finished
 
@@ -821,8 +820,7 @@ module Session = struct
   (* A pass is complete once every granted slot's outcome came back
      and either the fold said stop or the budget is exhausted.  Then:
      advance the client counter by the slots actually consumed
-     (discarded surplus never counts — same as [map_until]'s return
-     value), and decide quorum.  Quorum with graceful degradation: if
+     (discarded surplus never counts), and decide quorum.  Quorum with graceful degradation: if
      fewer than [quorum_frac] of pass 1's slots delivered a valid
      report, re-run once with fresh clients (lost and rejected slots
      stay consumed); if the fleet still cannot reach quorum the
@@ -879,7 +877,7 @@ module Session = struct
           g.g_delivered <- g.g_delivered + 1;
           if not g.g_stopped then begin
             (* The consumed count includes the outcome whose consume
-               says stop, exactly like [map_until]. *)
+               says stop; later outcomes are discarded. *)
             g.g_consumed <- g.g_consumed + 1;
             if not (consume t g o) then g.g_stopped <- true
           end)
@@ -1464,9 +1462,9 @@ end
 
 (* The one-shot entry point, now a thin single-session driver over
    {!Session} (and the reference oracle the differential suite holds
-   the multiplexed service against).  The grant batch mirrors
-   [Pool.map_until]'s default, so slot batching — and therefore wall
-   clock — matches the old synchronous loop. *)
+   the multiplexed service against).  The grant batch is one slot
+   with no worker domains and four per worker otherwise, so a batch
+   keeps every domain busy without much speculative surplus. *)
 let diagnose ?(config = Config.default) ?(pool = Parallel.Pool.sequential)
     ?(ingest = Streaming) ?oracle ~bug_name ~failure_type ~program ~workload_of
     ~(failure : Exec.Failure.report) () =

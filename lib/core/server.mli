@@ -114,9 +114,8 @@ val wp_groups : wp_capacity:int -> iid list -> iid list list
 
     Drivers may speculate: grant more slots than the fold will
     consume, run them concurrently, and deliver the whole batch —
-    outcomes arriving after the in-order fold decides to stop are
-    discarded unconsumed, exactly like {!Parallel.Pool.map_until}'s
-    surplus.  Because all accounting happens in [deliver], in slot
+    the in-order fold counts the outcome that decides to stop as
+    consumed and discards every later one unconsumed.  Because all accounting happens in [deliver], in slot
     order, every field of the diagnosis except host-time is a pure
     function of the session's inputs: bit-identical whatever the
     batching, interleaving with other sessions, or pool size. *)

@@ -24,15 +24,13 @@ let of_env () =
     | None -> None)
   | None -> None
 
-let effective () =
+let default () =
   match !forced with
   | Some n -> n
   | None -> (
     match of_env () with
     | Some n -> n
     | None -> max 0 (available () - 1))
-
-let default = effective
 
 let global_pool : Pool.t option ref = ref None
 let lock = Mutex.create ()
@@ -55,7 +53,7 @@ let global () =
     match !global_pool with
     | Some p -> p
     | None ->
-      let p = Pool.create ~jobs:(effective ()) in
+      let p = Pool.create ~jobs:(default ()) in
       global_pool := Some p;
       p
   in

@@ -11,9 +11,6 @@ val available : unit -> int
     beyond the core count add scheduler churn, not parallelism (and
     {!Pool.effective} further collapses single-core hosts to zero
     workers). *)
-val effective : unit -> int
-
-(** Alias for {!effective} (the historical name). *)
 val default : unit -> int
 
 (** Override the default (the CLI's [--jobs]).  Clamped to
@@ -21,5 +18,5 @@ val default : unit -> int
     pool of a different effective size. *)
 val set_default : int -> unit
 
-(** The shared pool, created lazily with [effective ()] workers. *)
+(** The shared pool, created lazily with [default ()] workers. *)
 val global : unit -> Pool.t

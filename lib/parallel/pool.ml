@@ -157,45 +157,3 @@ let map t f l = Array.to_list (map_array t f (Array.of_list l))
 let worker_local init =
   let key = Domain.DLS.new_key init in
   fun () -> Domain.DLS.get key
-
-(* Speculative ordered streaming.  [next i] builds the i-th task (or
-   [None] past the end); batches run on the pool, then [consume i r]
-   folds results *in submission order* until it returns [false].
-   Tasks past the stop point may have run speculatively -- their
-   results are discarded unconsumed -- so [consume] must carry all the
-   side effects and tasks must be pure.  Returns the number of results
-   consumed.  With zero workers the batch size is 1: generate, run,
-   consume, re-check -- exactly the sequential loop. *)
-let map_until t ?batch ~next ~consume () =
-  let batch =
-    match batch with
-    | Some b -> max 1 b
-    | None -> if t.jobs = 0 then 1 else t.jobs * 4
-  in
-  let consumed = ref 0 in
-  let idx = ref 0 in
-  let continue_ = ref true in
-  let exhausted = ref false in
-  while !continue_ && not !exhausted do
-    let thunks = ref [] in
-    while List.length !thunks < batch && not !exhausted do
-      match next !idx with
-      | Some th ->
-        thunks := th :: !thunks;
-        incr idx
-      | None -> exhausted := true
-    done;
-    let arr = Array.of_list (List.rev !thunks) in
-    if Array.length arr = 0 then exhausted := true
-    else begin
-      let results = map_array t (fun th -> th ()) arr in
-      Array.iter
-        (fun r ->
-          if !continue_ then begin
-            incr consumed;
-            if not (consume (!consumed - 1) r) then continue_ := false
-          end)
-        results
-    end
-  done;
-  !consumed

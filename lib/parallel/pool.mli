@@ -4,15 +4,14 @@
     The pool exists to parallelise the embarrassingly parallel loops of
     the Gist pipeline (client fleet simulation, per-bug experiment
     sweeps) without changing any observable result: [map] returns
-    results in submission order, and [map_until] consumes them in
-    submission order, so effects folded over the results are
-    bit-identical to a sequential run. *)
+    results in submission order, so effects folded over the results
+    are bit-identical to a sequential run. *)
 
 type t
 
 (** [create ~jobs] spawns [effective ~jobs] worker domains.  The
     caller also executes tasks while waiting, so total parallelism is
-    [jobs + 1]; nested [map]/[map_until] from inside a task cannot
+    [jobs + 1]; nested [map]s from inside a task cannot
     deadlock (the submitter helps drain the queue). *)
 val create : jobs:int -> t
 
@@ -41,23 +40,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** List version of {!map_array}. *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_until t ~next ~consume ()] streams an ordered task sequence
-    through the pool: [next i] builds the [i]-th task ([None] ends the
-    stream), batches execute in parallel, and [consume i result] folds
-    the results in submission order until it returns [false].  Tasks
-    beyond the stop point may have executed speculatively and are
-    discarded unconsumed, so tasks must be pure: all side effects
-    belong in [consume].  Returns how many results were consumed.
-    With zero workers the batch size is 1, which is exactly the
-    sequential check-run-consume loop. *)
-val map_until :
-  t ->
-  ?batch:int ->
-  next:(int -> (unit -> 'a) option) ->
-  consume:(int -> 'a -> bool) ->
-  unit ->
-  int
 
 (** [worker_local init] is per-domain mutable scratch (decode arenas,
     reusable buffers): the returned getter gives each domain — pool

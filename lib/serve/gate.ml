@@ -33,46 +33,28 @@ let run_chaos ?(jobs = 0) ?faults ~rates ~seed ~count () =
       let stages =
         Parallel.Pool.map_array pool C.prepare (Array.of_list cases)
       in
-      (* Every diagnosable case's spec, poison applied up front — the
-         resolver must hand recovery the poisoned spec, or a replayed
-         session would not strike like the original did. *)
-      let specs = Hashtbl.create (List.length cases) in
-      List.iteri
-        (fun i case ->
-          match stages.(i) with
-          | C.Decided _ -> ()
-          | C.Diagnose failure ->
-            Hashtbl.replace specs case.G.c_name
-              (Chaos.poison_spec ~rates ~seed
-                 (Stream.case_spec ~early_exit:false ~oracle:(C.oracle case)
-                    ~name:case.G.c_name case failure)))
-        cases;
-      let resolve name = Hashtbl.find_opt specs name in
-      let spec_list =
-        List.filter_map (fun case -> resolve case.G.c_name) cases
+      (* Every diagnosable case's spec, poison applied up front:
+         recovery must replay a poisoned session poisoned. *)
+      let specs =
+        List.concat
+          (List.mapi
+             (fun i case ->
+               match stages.(i) with
+               | C.Decided _ -> []
+               | C.Diagnose failure ->
+                 [
+                   Chaos.poison_spec ~rates ~seed
+                     (Stream.case_spec ~early_exit:false
+                        ~oracle:(C.oracle case) ~name:case.G.c_name case
+                        failure);
+                 ])
+             cases)
       in
-      let svc = Service.create ~pool () in
-      (* Submit every diagnosable case, riding the backpressure: a
-         [Busy] reject runs a scheduler round and retries, so the
-         in-flight window stays saturated without unbounded queueing. *)
-      List.iter
-        (fun sp ->
-          let rec push () =
-            match Service.submit svc sp with
-            | Ok _ -> ()
-            | Error (Service.Busy _ | Service.Shed _) ->
-              ignore (Service.step svc : bool);
-              push ()
-          in
-          push ())
-        spec_list;
       let oc =
-        Chaos.drive ~pool ~rates ~seed ~resolve ~specs:spec_list svc
+        Chaos.drive ~pool
+          ~kills:(fun round -> FC.draw rates ~seed ~round)
+          ~specs (Service.create ~pool ())
       in
-      let by_name = Hashtbl.create (List.length oc.Chaos.o_done) in
-      List.iter
-        (fun (name, c) -> Hashtbl.replace by_name name c)
-        oc.Chaos.o_done;
       let poisoned = ref 0 in
       let contained = ref 0 in
       let reports =
@@ -83,7 +65,7 @@ let run_chaos ?(jobs = 0) ?faults ~rates ~seed ~count () =
                | C.Decided o -> [ R.case_report case o ]
                | C.Diagnose _ ->
                  let name = case.G.c_name in
-                 let completion = Hashtbl.find_opt by_name name in
+                 let completion = List.assoc_opt name oc.Chaos.o_done in
                  if FC.poisoned rates ~seed ~name then begin
                    incr poisoned;
                    (match completion with

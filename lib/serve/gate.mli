@@ -11,14 +11,15 @@ type chaos_summary = { cs_poisoned : int; cs_contained : int }
 
 (** [run_chaos ~rates ~seed ~count ()] returns the campaign report,
     what {!Chaos.drive} did (kills, recoveries, the final service
-    incarnation's ledger) and the poison containment count.
-    Submissions refused with [Busy] are retried after a scheduler
-    round, so the in-flight window stays saturated without unbounded
-    queueing; the service runs {!Service.default}.
+    incarnation) and the poison containment count.  The driver
+    submits every diagnosable case to a {!Service.default} service,
+    retrying [Busy] after a round, so the in-flight window stays
+    saturated without unbounded queueing.
 
-    Under [rates] the service faults of {!Chaos.drive} apply: seeded
-    kills between rounds, torn journal tails and corrupted
-    checkpoints ahead of recovery, poisoned sessions.  Poisoned cases
+    Under [rates] the driver's kill plan is
+    [Faults.Chaos.draw rates ~seed]: seeded kills between rounds, torn
+    journal tails and corrupted checkpoints ahead of recovery; the
+    same rates poison sessions.  Poisoned cases
     are excluded from the report's accuracy statistics (their
     diagnosis is destroyed by design; what the gate checks is
     containment, via [cs_contained]); every other case must come back

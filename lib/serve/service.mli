@@ -109,7 +109,10 @@ val validate : sconfig -> (sconfig, cerror) result
     admission can plausibly succeed.  [Shed] (triage only): the queue
     bound was hit and the submission is a recurrence of an
     already-diagnosed fingerprint — the shed class under load; fresh
-    bugs are never shed. *)
+    bugs are never shed.  {!Chaos.drive} is the caller-side policy:
+    [Busy] is retried after a round that made progress, while [Shed]
+    and a [Busy] from an idle service (one that is draining) are
+    final. *)
 type sreject =
   | Busy of { inflight : int; queued : int; retry_after_rounds : int }
   | Shed of { queued : int; retry_after_rounds : int }
@@ -312,11 +315,12 @@ val journal_bytes : t -> string
     journal is off. *)
 val checkpoint : t -> bool
 
-(** Stop admitting: every later {!submit} is refused.  Already-queued
-    and in-flight sessions still run to completion, so the ledger
-    balances at shutdown.  The drain is journaled
+(** Stop admitting: every later {!submit} is refused with [Busy].
+    Already-queued and in-flight sessions still run to completion, so
+    the ledger balances at shutdown.  The drain is journaled
     ({!Journal.record.Drained}), so recovery replays it; call it
-    between service calls, not from a signal handler. *)
+    between service calls, not from a signal handler ({!Chaos.drive}'s
+    per-round hook is such a point). *)
 val request_drain : t -> unit
 
 (** Graceful shutdown: {!request_drain}, run every remaining session
@@ -350,7 +354,13 @@ val rerror_to_string : rerror -> string
     [resolve] maps a bug name back to its spec (specs hold closures
     and cannot live in the journal); it must supply every name the
     journal mentions — refused submissions included, since replay
-    re-runs every submission through {!submit}.
+    re-runs every submission through {!submit}.  {!Chaos.drive}
+    resolves through the specs it was given.
+
+    Completions are delivered at-least-once across a kill: replay
+    regenerates those completed after the restored checkpoint, even
+    if the dead incarnation's caller already took them.  Deduplicate
+    by name, first sighting wins ({!Chaos.drive} does).
 
     The recovered service owns a fresh journal (seeded with a new
     initial checkpoint), so a second kill recovers the same way. *)

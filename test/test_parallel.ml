@@ -67,45 +67,6 @@ let pool_map =
               "nested results" [ 6; 36; 66; 96 ] out));
   ]
 
-let map_until =
-  let run_stream jobs ~stop_at ~stream_len =
-    Pool.with_pool ~jobs (fun p ->
-        let consumed = ref [] in
-        let n =
-          Pool.map_until p
-            ~next:(fun i ->
-              if i >= stream_len then None else Some (fun () -> i * 2))
-            ~consume:(fun i r ->
-              Alcotest.(check int) "consume index" i (r / 2);
-              consumed := r :: !consumed;
-              r < stop_at)
-            ()
-        in
-        (n, List.rev !consumed))
-  in
-  [
-    Alcotest.test_case "consumes in order and stops at the predicate"
-      `Quick (fun () ->
-        (* Stop once a result >= 10 is consumed: results 0,2,..,10. *)
-        List.iter
-          (fun jobs ->
-            let n, consumed = run_stream jobs ~stop_at:9 ~stream_len:100 in
-            Alcotest.(check int) (Printf.sprintf "count at %d jobs" jobs) 6 n;
-            Alcotest.(check (list int))
-              (Printf.sprintf "prefix at %d jobs" jobs)
-              [ 0; 2; 4; 6; 8; 10 ] consumed)
-          [ 0; 1; 2; 4 ]);
-    Alcotest.test_case "exhausts the stream when never stopped" `Quick
-      (fun () ->
-        let n, consumed = run_stream 2 ~stop_at:max_int ~stream_len:17 in
-        Alcotest.(check int) "all consumed" 17 n;
-        Alcotest.(check int) "last" 32 (List.nth consumed 16));
-    Alcotest.test_case "empty stream consumes nothing" `Quick (fun () ->
-        let n, consumed = run_stream 2 ~stop_at:max_int ~stream_len:0 in
-        Alcotest.(check int) "zero" 0 n;
-        Alcotest.(check (list int)) "none" [] consumed);
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Parallel diagnosis is bit-identical to sequential diagnosis. *)
 
@@ -240,7 +201,6 @@ let () =
   Alcotest.run "parallel"
     [
       ("pool-map", pool_map);
-      ("map-until", map_until);
       ("parallel-diagnose", parallel_diagnose);
       ("analysis-cache", cache);
     ]

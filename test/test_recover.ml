@@ -56,12 +56,32 @@ let one_shot (sp : Svc.spec) =
     ~failure_type:sp.sp_failure_type ~program:sp.sp_program
     ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
 
-let resolver specs =
-  let by_name = Hashtbl.create (List.length specs) in
+(* Kill plans for [Serve.Chaos.drive]: one undamaged kill after round
+   [k], or after every round. *)
+let kill = { Faults.Chaos.no_plan with Faults.Chaos.p_kill = true }
+let kill_at k tick = if tick = k then kill else Faults.Chaos.no_plan
+
+(* Every diagnosis of a drive equals its one-shot reference; a
+   contained failure fails the test. *)
+let check_done ?(label = Fun.id) reference (oc : Serve.Chaos.outcome) =
   List.iter
-    (fun (sp : Svc.spec) -> Hashtbl.replace by_name sp.Svc.sp_name sp)
-    specs;
-  fun name -> Hashtbl.find_opt by_name name
+    (fun (name, (c : Svc.completion)) ->
+      match c.Svc.c_result with
+      | Ok d -> compare_diagnoses (label name) (List.assoc name reference) d
+      | Error f ->
+        Alcotest.failf "session %s failed: %s" name
+          (Svc.session_failure_to_string f))
+    oc.Serve.Chaos.o_done
+
+(* The final incarnation is idle and its ledger balances. *)
+let check_idle_ledger label (oc : Serve.Chaos.outcome) =
+  let svc = oc.Serve.Chaos.o_service in
+  let st = Svc.stats svc in
+  Alcotest.(check int) (label ^ ": ledger balances") st.Svc.st_submitted
+    (st.Svc.st_completed + st.Svc.st_rejected + st.Svc.st_coalesced
+   + st.Svc.st_shed);
+  Alcotest.(check int) (label ^ ": nothing in flight") 0 (Svc.inflight svc);
+  Alcotest.(check int) (label ^ ": nothing queued") 0 (Svc.queued svc)
 
 (* ------------------------------------------------------------------ *)
 (* Spec builders (as in test_serve). *)
@@ -133,54 +153,11 @@ let small_spec name =
 (* ------------------------------------------------------------------ *)
 (* Kill-at-every-round differential.
 
-   [run_with_kills] drives all [specs] through one service under
-   [sconfig], and after every round — every possible crash point —
-   takes the journal bytes as the crash image, recovers a fresh
-   service from them and continues on the recovered object.
-   Completions are harvested every round (first completion per name
-   wins: recovery replay is at-least-once).  Whatever the kill
-   schedule did, every diagnosis must equal the one-shot reference. *)
-
-let run_with_kills ~jobs ~sconfig specs =
-  let resolve = resolver specs in
-  Parallel.Pool.with_pool ~jobs (fun pool ->
-      let svc = ref (Svc.create ~sconfig ~pool ()) in
-      List.iter
-        (fun sp ->
-          match Svc.submit !svc sp with
-          | Ok _ -> ()
-          | Error r ->
-            Alcotest.failf "submit %s: %s" sp.Svc.sp_name
-              (Svc.sreject_to_string r))
-        specs;
-      let done_ = Hashtbl.create (List.length specs) in
-      let harvest () =
-        List.iter
-          (fun (c : Svc.completion) ->
-            if not (Hashtbl.mem done_ c.Svc.c_name) then
-              Hashtbl.replace done_ c.Svc.c_name c)
-          (Svc.take_completions !svc)
-      in
-      let kills = ref 0 in
-      while Svc.step !svc do
-        harvest ();
-        incr kills;
-        match Svc.recover ~pool ~resolve (Svc.journal_bytes !svc) with
-        | Ok s -> svc := s
-        | Error e ->
-          Alcotest.failf "recover after round %d: %s" !kills
-            (Svc.rerror_to_string e)
-      done;
-      harvest ();
-      let st = Svc.stats !svc in
-      (* The final incarnation's ledger balances after the drain. *)
-      Alcotest.(check int) "ledger balances" st.Svc.st_submitted
-        (st.Svc.st_completed + st.Svc.st_rejected);
-      Alcotest.(check int) "nothing in flight" 0 (Svc.inflight !svc);
-      Alcotest.(check int) "nothing queued" 0 (Svc.queued !svc);
-      Alcotest.(check int) "no replay divergences" 0 st.Svc.st_divergences;
-      Alcotest.(check bool) "killed at every round" true (!kills >= 1);
-      Hashtbl.fold (fun name c acc -> (name, c) :: acc) done_ [])
+   The driver runs all [specs] through one service under [tight], and
+   after every round — every possible crash point — takes the journal
+   bytes as the crash image, recovers a fresh service from them and
+   continues on the recovered object.  Whatever the kill schedule did,
+   every diagnosis must equal the one-shot reference. *)
 
 let kill_differential ~jobs ~faults specs () =
   Alcotest.(check bool)
@@ -188,20 +165,23 @@ let kill_differential ~jobs ~faults specs () =
     true
     (List.length specs >= 10);
   let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
-  let served = run_with_kills ~jobs ~sconfig:tight specs in
+  let oc =
+    Parallel.Pool.with_pool ~jobs (fun pool ->
+        Serve.Chaos.drive ~pool ~kills:(fun _ -> kill) ~specs
+          (Svc.create ~sconfig:tight ~pool ()))
+  in
+  check_idle_ledger "kill at every round" oc;
+  Alcotest.(check int) "no replay divergences" 0
+    (Svc.stats oc.Serve.Chaos.o_service).Svc.st_divergences;
+  Alcotest.(check int) "every recovery succeeded" 0
+    oc.Serve.Chaos.o_failed_recoveries;
+  Alcotest.(check bool) "killed at every round" true
+    (oc.Serve.Chaos.o_kills >= 1);
   Alcotest.(check int) "every session completed across the kills"
-    (List.length specs) (List.length served);
-  List.iter
-    (fun (name, (c : Svc.completion)) ->
-      match c.Svc.c_result with
-      | Ok d ->
-        compare_diagnoses
-          (Printf.sprintf "%s (jobs %d, faults %b)" name jobs faults)
-          (List.assoc name reference) d
-      | Error f ->
-        Alcotest.failf "session %s failed: %s" name
-          (Svc.session_failure_to_string f))
-    served
+    (List.length specs) (List.length oc.Serve.Chaos.o_done);
+  check_done
+    ~label:(fun name -> Printf.sprintf "%s (jobs %d, faults %b)" name jobs faults)
+    reference oc
 
 (* ------------------------------------------------------------------ *)
 (* Corpus replay through a recovery: every diagnosable shrunk
@@ -246,39 +226,18 @@ let corpus_through_recovery () =
     (Printf.sprintf "enough diagnosable reproducers (%d)" (List.length specs))
     true
     (List.length specs >= 15);
-  let resolve = resolver specs in
   let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
-  Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-      let svc = Svc.create ~sconfig:tight ~pool () in
-      List.iter (fun sp -> ignore (Svc.submit svc sp)) specs;
-      let harvested = ref [] in
-      (* One kill, landed mid-stream: five rounds past submission. *)
-      for _ = 1 to 5 do
-        ignore (Svc.step svc);
-        harvested := Svc.take_completions svc @ !harvested
-      done;
-      let svc2 =
-        match Svc.recover ~pool ~resolve (Svc.journal_bytes svc) with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e)
-      in
-      Svc.drain svc2;
-      let done_ = Hashtbl.create (List.length specs) in
-      List.iter
-        (fun (c : Svc.completion) ->
-          if not (Hashtbl.mem done_ c.Svc.c_name) then
-            Hashtbl.replace done_ c.Svc.c_name c)
-        (!harvested @ Svc.take_completions svc2);
-      Alcotest.(check int) "every reproducer completed" (List.length specs)
-        (Hashtbl.length done_);
-      Hashtbl.iter
-        (fun name (c : Svc.completion) ->
-          match c.Svc.c_result with
-          | Ok d -> compare_diagnoses name (List.assoc name reference) d
-          | Error f ->
-            Alcotest.failf "session %s failed: %s" name
-              (Svc.session_failure_to_string f))
-        done_)
+  (* One kill, landed mid-stream: five rounds past submission. *)
+  let oc =
+    Parallel.Pool.with_pool ~jobs:4 (fun pool ->
+        Serve.Chaos.drive ~pool ~kills:(kill_at 5) ~specs
+          (Svc.create ~sconfig:tight ~pool ()))
+  in
+  Alcotest.(check int) "one recovery" 1
+    (oc.Serve.Chaos.o_kills - oc.Serve.Chaos.o_failed_recoveries);
+  Alcotest.(check int) "every reproducer completed" (List.length specs)
+    (List.length oc.Serve.Chaos.o_done);
+  check_done reference oc
 
 (* ------------------------------------------------------------------ *)
 (* Chaos campaign over the Bugbase: seeded kills, torn tails and
@@ -287,16 +246,18 @@ let corpus_through_recovery () =
 
 let bugbase_chaos () =
   let specs = List.map (bugbase_spec ~faults:false) Bugbase.Registry.all in
-  let resolve = resolver specs in
   let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
   let rates =
     { Faults.Chaos.kill = 0.3; ckpt_corrupt = 0.3; torn_write = 0.3;
       poison = 0.0 }
   in
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-      let svc = Svc.create ~sconfig:tight ~pool () in
-      List.iter (fun sp -> ignore (Svc.submit svc sp)) specs;
-      let oc = Serve.Chaos.drive ~pool ~rates ~seed:7 ~resolve ~specs svc in
+      let oc =
+        Serve.Chaos.drive ~pool
+          ~kills:(fun round -> Faults.Chaos.draw rates ~seed:7 ~round)
+          ~specs
+          (Svc.create ~sconfig:tight ~pool ())
+      in
       Alcotest.(check bool) "the campaign killed the service" true
         (oc.Serve.Chaos.o_kills >= 1);
       (* A refusal is legal only when damage ate every checkpoint (the
@@ -311,14 +272,7 @@ let bugbase_chaos () =
         <= oc.Serve.Chaos.o_torn + oc.Serve.Chaos.o_corrupted);
       Alcotest.(check int) "every bug completed" (List.length specs)
         (List.length oc.Serve.Chaos.o_done);
-      List.iter
-        (fun (name, (c : Svc.completion)) ->
-          match c.Svc.c_result with
-          | Ok d -> compare_diagnoses name (List.assoc name reference) d
-          | Error f ->
-            Alcotest.failf "session %s failed: %s" name
-              (Svc.session_failure_to_string f))
-        oc.Serve.Chaos.o_done)
+      check_done reference oc)
 
 (* ------------------------------------------------------------------ *)
 (* Journal codec and damage model. *)
@@ -454,7 +408,10 @@ let drain_replay ~triage () =
       | _ -> Alcotest.failf "submission %d: unexpected admission decision" i)
     specs;
   ignore (Svc.step svc : bool);
-  match Svc.recover ~resolve:(resolver specs) (Svc.journal_bytes svc) with
+  let resolve name =
+    List.find_opt (fun (sp : Svc.spec) -> sp.Svc.sp_name = name) specs
+  in
+  match Svc.recover ~resolve (Svc.journal_bytes svc) with
   | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e)
   | Ok recovered ->
     let live = Svc.stats svc and st = Svc.stats recovered in
@@ -519,46 +476,99 @@ let digest_covers_every_field () =
 
 let corrupted_checkpoint_fallback () =
   let specs = List.map small_spec [ "a"; "b"; "c" ] in
-  let resolve = resolver specs in
   let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
-  Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-      let sconfig = { tight with Svc.checkpoint_every_rounds = 2 } in
-      let svc = Svc.create ~sconfig ~pool () in
-      List.iter (fun sp -> ignore (Svc.submit svc sp)) specs;
-      let harvested = ref [] in
-      for _ = 1 to 5 do
-        ignore (Svc.step svc);
-        harvested := Svc.take_completions svc @ !harvested
-      done;
-      let bytes =
-        match J.corrupt_last_checkpoint ~salt:3 (Svc.journal_bytes svc) with
-        | Some b -> b
-        | None -> Alcotest.fail "no checkpoint to corrupt after 5 rounds"
-      in
-      let svc2 =
-        match Svc.recover ~pool ~resolve bytes with
-        | Ok s -> s
-        | Error e ->
-          Alcotest.failf "recover should fall back to an older checkpoint: %s"
-            (Svc.rerror_to_string e)
-      in
-      Svc.drain svc2;
-      let done_ = Hashtbl.create 3 in
-      List.iter
-        (fun (c : Svc.completion) ->
-          if not (Hashtbl.mem done_ c.Svc.c_name) then
-            Hashtbl.replace done_ c.Svc.c_name c)
-        (!harvested @ Svc.take_completions svc2);
-      Alcotest.(check int) "all three sessions completed" 3
-        (Hashtbl.length done_);
-      Hashtbl.iter
-        (fun name (c : Svc.completion) ->
-          match c.Svc.c_result with
-          | Ok d -> compare_diagnoses name (List.assoc name reference) d
-          | Error f ->
-            Alcotest.failf "session %s failed: %s" name
-              (Svc.session_failure_to_string f))
-        done_)
+  let kills tick =
+    if tick = 5 then { kill with Faults.Chaos.p_ckpt_corrupt = Some 3 }
+    else Faults.Chaos.no_plan
+  in
+  let oc =
+    Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        let sconfig = { tight with Svc.checkpoint_every_rounds = 2 } in
+        Serve.Chaos.drive ~pool ~kills ~specs (Svc.create ~sconfig ~pool ()))
+  in
+  Alcotest.(check int) "the newest checkpoint was corrupted" 1
+    oc.Serve.Chaos.o_corrupted;
+  Alcotest.(check int) "recovery fell back to an older checkpoint" 0
+    oc.Serve.Chaos.o_failed_recoveries;
+  Alcotest.(check int) "all three sessions completed" 3
+    (List.length oc.Serve.Chaos.o_done);
+  check_done reference oc
+
+(* ------------------------------------------------------------------ *)
+(* Driver regressions.  A triaging storm must terminate: a coalesced
+   duplicate never completes under its own name, so "no completion"
+   must not mean "resubmit".  A drain requested while specs are still
+   waiting must end the drive: a [Busy] from an idle, draining service
+   is final. *)
+
+let storm_tweak (c : Gist.Config.t) =
+  {
+    c with
+    Gist.Config.max_iterations = 2;
+    max_clients_per_iter = 40;
+    fail_quota = 2;
+    succ_quota = 4;
+  }
+
+(* Storm duplicates are named "<bug>@<k>". *)
+let bug_of name =
+  match String.index_opt name '@' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let driven_storm rates () =
+  let specs =
+    Serve.Stream.storm ~tweak:storm_tweak ~fuzz_count:4 ~seed:42 ~sessions:20
+      ~dup_ratio:0.8 ()
+  in
+  let oc =
+    Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Serve.Chaos.drive ~pool
+          ~kills:(fun round -> Faults.Chaos.draw rates ~seed:42 ~round)
+          ~specs
+          (Svc.create ~sconfig:{ tight with Svc.triage = true } ~pool ()))
+  in
+  check_idle_ledger "storm" oc;
+  let bugs names = List.sort_uniq compare (List.map bug_of names) in
+  Alcotest.(check (list string))
+    "every bug of the storm diagnosed"
+    (bugs (List.map (fun (sp : Svc.spec) -> sp.Svc.sp_name) specs))
+    (bugs (List.map fst oc.Serve.Chaos.o_done));
+  let st = Svc.stats oc.Serve.Chaos.o_service in
+  if Faults.Chaos.is_zero rates then begin
+    Alcotest.(check int) "nothing resubmitted" 0 oc.Serve.Chaos.o_resubmitted;
+    Alcotest.(check bool) "duplicates coalesced" true (st.Svc.st_coalesced > 0);
+    Alcotest.(check int) "every ticket completed" st.Svc.st_admitted
+      st.Svc.st_completed;
+    Alcotest.(check int) "every ticketed name completed once"
+      st.Svc.st_completed
+      (List.length oc.Serve.Chaos.o_done)
+  end
+  else
+    Alcotest.(check bool) "the campaign killed the service" true
+      (oc.Serve.Chaos.o_kills >= 1)
+
+let drain_mid_submission () =
+  let specs = List.init 12 (fun i -> small_spec (Printf.sprintf "s%d" i)) in
+  let sconfig = { tight with Svc.max_inflight = 2; max_queue = 2 } in
+  let oc =
+    Serve.Chaos.drive
+      ~on_round:(fun tick svc -> if tick = 1 then Svc.request_drain svc)
+      ~specs (Svc.create ~sconfig ())
+  in
+  check_idle_ledger "drain" oc;
+  let st = Svc.stats oc.Serve.Chaos.o_service in
+  Alcotest.(check int) "accepted before the drain" 2 st.Svc.st_admitted;
+  Alcotest.(check int) "accepted sessions completed" 2
+    (List.length oc.Serve.Chaos.o_done);
+  Alcotest.(check int) "nothing resubmitted" 0 oc.Serve.Chaos.o_resubmitted;
+  (* A [Busy] is retried only after a round ran, so beyond one
+     submission per spec there is at most one per round. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d submissions within %d specs + %d rounds"
+       st.Svc.st_submitted (List.length specs) st.Svc.st_rounds)
+    true
+    (st.Svc.st_submitted <= List.length specs + st.Svc.st_rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Blast-radius containment. *)
@@ -803,6 +813,15 @@ let () =
       ( "chaos",
         [ Alcotest.test_case "seeded chaos over the Bugbase" `Slow
             bugbase_chaos ] );
+      ( "driver",
+        [
+          Alcotest.test_case "a triaging storm terminates, zero rates" `Quick
+            (driven_storm Faults.Chaos.zero);
+          Alcotest.test_case "a triaging storm terminates, 20% chaos" `Quick
+            (driven_storm (Faults.Chaos.spread 0.2));
+          Alcotest.test_case "a drain mid-submission ends the drive" `Quick
+            drain_mid_submission;
+        ] );
       ("journal", journal_tests);
       ( "fallback",
         [
