@@ -73,14 +73,9 @@ let reject_to_string = function
    multiplexed diagnosis is bit-identical to its one-shot counterpart
    (whose session id differs).
 
-   Payload field order is chosen so a single forward scan classifies
-   rejects in priority order: [r_pt_errors] comes first
-   (dropped/damaged-trace beats bad-payload), then the sections whose
-   statement ids are range-checked — executed, branches, traps.
-   {!ingest} exploits this: [scan_payload] walks the bytes
-   allocation-free (hand-written, because it range-checks iids as it
-   goes), and only a report that passes every layer is decoded with
-   the [report] codec.
+   {!ingest} reads the payload once, with the [report] codec, and
+   then checks the typed report; the codec is the payload's only
+   description.
 
    Encoders write through a reusable per-worker {!arena}
    ([Parallel.Pool] gives each domain its own), so steady-state
@@ -207,9 +202,8 @@ module Encode = struct
         |+ (uint, fun c -> c.rr_events)
         |+ (uint, fun c -> c.sw_trace_events)))
 
-  (* pt errors lead the payload (see the module comment); executed
-     statements are delta-encoded per thread -- control flow is local,
-     so deltas are mostly one byte. *)
+  (* Executed statements are delta-encoded per thread -- control flow
+     is local, so deltas are mostly one byte. *)
   let report : Client.report C.t =
     C.(
       record
@@ -269,146 +263,48 @@ module Encode = struct
 
   let truncated = Bad_payload "truncated envelope"
 
-  let skip_kind r =
-    match W.get_uint r with
-    | 4 | 8 -> W.skip_string r
-    | n when n >= 1 && n <= 7 -> ()
-    | _ -> raise W.Short
+  (* The typed checks over a decoded report, in reject priority order:
+     the client's first PT decode fault (dropped/damaged-trace beats
+     bad-payload), then statement ids outside the program in executed
+     statements, branch outcomes and watchpoint traps. *)
+  let validate ~n_instrs (r : Client.report) =
+    let outside iid = iid < 0 || iid >= n_instrs in
+    match r.r_pt_errors with
+    | (tid, Hw.Pt.Empty_stream) :: _ -> Error (Dropped_trace tid)
+    | (tid, e) :: _ ->
+      Error
+        (Damaged_trace
+           (Printf.sprintf "thread %d: %s" tid (Hw.Pt.error_to_string e)))
+    | [] ->
+      if List.exists (fun (_, iids) -> List.exists outside iids) r.r_executed
+      then Error (Bad_payload "executed statement outside the program")
+      else if List.exists (fun (iid, _) -> outside iid) r.r_branches then
+        Error (Bad_payload "branch outcome on a statement outside the program")
+      else if
+        List.exists (fun (t : Hw.Watchpoint.trap) -> outside t.w_iid) r.r_traps
+      then
+        Error (Bad_payload "watchpoint trap on a statement outside the program")
+      else Ok r
 
-  (* Allocation-free forward scan of the payload: returns the first
-     reject the bytes justify, in priority order, without
-     materialising a single list. *)
-  let scan_payload ~n_instrs (r : W.reader) =
-    ignore (W.get_int r) (* seed *);
-    let n_errs = W.get_uint r in
-    if n_errs > 0 then begin
-      let tid = W.get_uint r in
-      match W.get_uint r with
-      | 1 -> Error (Dropped_trace tid)
-      | tag ->
-        let detail : Hw.Pt.error =
-          match tag with
-          | 2 -> Hw.Pt.Truncated
-          | 3 -> Hw.Pt.Bad_target (W.get_int r)
-          | 4 -> Hw.Pt.Malformed_packet (W.get_string r)
-          | _ -> raise W.Short
-        in
-        Error
-          (Damaged_trace
-             (Printf.sprintf "thread %d: %s" tid
-                (Hw.Pt.error_to_string detail)))
-    end
-    else begin
-      (match W.get_uint r with
-       | 1 -> ()
-       | 2 ->
-         skip_kind r;
-         ignore (W.get_int r);
-         ignore (W.get_uint r);
-         let n = W.get_uint r in
-         for _ = 1 to n do
-           W.skip_string r
-         done;
-         W.skip_string r
-       | _ -> raise W.Short);
-      (match W.get_uint r with
-       | 0 -> ()
-       | 1 ->
-         W.skip_string r;
-         ignore (W.get_int r);
-         let n = W.get_uint r in
-         for _ = 1 to n do
-           W.skip_string r
-         done
-       | _ -> raise W.Short);
-      let ok = ref true in
-      let n_threads = W.get_uint r in
-      for _ = 1 to n_threads do
-        ignore (W.get_uint r);
-        let n = W.get_uint r in
-        let last = ref 0 in
-        for _ = 1 to n do
-          last := !last + W.get_int r;
-          if !last < 0 || !last >= n_instrs then ok := false
-        done
-      done;
-      if not !ok then Error (Bad_payload "executed statement outside the program")
-      else begin
-        let n = W.get_uint r in
-        for _ = 1 to n do
-          let iid = W.get_int r in
-          ignore (W.get_bool r);
-          if iid < 0 || iid >= n_instrs then ok := false
-        done;
-        if not !ok then
-          Error (Bad_payload "branch outcome on a statement outside the program")
-        else begin
-          let n = W.get_uint r in
-          for _ = 1 to n do
-            ignore (W.get_uint r);
-            ignore (W.get_uint r);
-            let iid = W.get_int r in
-            ignore (W.get_int r);
-            ignore (W.get_bool r);
-            W.skip_value r;
-            if iid < 0 || iid >= n_instrs then ok := false
-          done;
-          if not !ok then
-            Error
-              (Bad_payload "watchpoint trap on a statement outside the program")
-          else begin
-            (* Tail sections: 11 counter varints, 3 floats, steps. *)
-            for _ = 1 to 11 do
-              ignore (W.get_uint r)
-            done;
-            W.skip_float r;
-            W.skip_float r;
-            W.skip_float r;
-            ignore (W.get_uint r);
-            Ok ()
-          end
-        end
-      end
-    end
-
-  (* Every validation layer over the wire form, without materialising
-     the report: [Ok] carries the payload offset so {!ingest} can
-     decode without rescanning the header.  Routing (session) is
-     checked after integrity but before freshness: a mis-routed
-     report's plan digest belongs to another session's iteration
-     history, so comparing it against [plan_id] first would book
-     routing faults as staleness. *)
-  let scan ?(session = 0) ~n_instrs ~plan_id bytes =
+  (* Every validation layer, in order: version, digest, routing,
+     freshness, then one decode of the payload and the typed checks.
+     Routing (session) is checked after integrity but before
+     freshness: a mis-routed report's plan digest belongs to another
+     session's iteration history, so comparing it against [plan_id]
+     first would book routing faults as staleness. *)
+  let ingest ?(session = 0) ~n_instrs ~plan_id bytes =
     match C.unseal envelope (W.reader bytes) with
     | Error (C.Bad_version v) -> Error (Bad_version v)
     | Error _ -> Error truncated
     | Ok { C.intact = false; _ } -> Error Bad_checksum
-    | Ok { C.header = _, got_session, got_plan; pos; _ } -> (
+    | Ok { C.header = _, got_session, got_plan; pos; _ } ->
       if got_session <> session then
         Error (Wrong_session { expected = session; got = got_session })
       else if got_plan <> plan_id then
         Error (Stale_plan { expected = plan_id; got = got_plan })
-      else
-        let r = W.reader ~pos bytes in
-        match scan_payload ~n_instrs r with
-        | Error rej -> Error rej
-        | Ok () ->
-          if not (W.eof r) then Error (Bad_payload "trailing envelope bytes")
-          else Ok pos
-        | exception W.Short -> Error truncated)
-
-  let check ?(session = 0) ~n_instrs ~plan_id bytes =
-    match scan ~session ~n_instrs ~plan_id bytes with
-    | Ok (_ : int) -> Ok ()
-    | Error _ as e -> e
-
-  (* One allocation-free scan classifies the reject, and only an
-     accepted report is materialised. *)
-  let ingest ?(session = 0) ~n_instrs ~plan_id bytes =
-    match scan ~session ~n_instrs ~plan_id bytes with
-    | Error rej -> Error rej
-    | Ok pos -> (
-      match C.decode report ~pos bytes with
-      | Ok r -> Ok r
-      | Error _ -> Error truncated)
+      else (
+        match C.decode report ~pos bytes with
+        | Ok r -> validate ~n_instrs r
+        | Error (C.Trailing _) -> Error (Bad_payload "trailing envelope bytes")
+        | Error _ -> Error truncated)
 end

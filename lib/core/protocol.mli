@@ -32,7 +32,9 @@ type reject =
           transport drop, deliberately distinct from [Damaged_trace]
           so fleet-health counters don't book drops as corruption *)
   | Damaged_trace of string  (** client-side PT decode fault *)
-  | Bad_payload of string    (** statement id outside the program *)
+  | Bad_payload of string
+      (** statement id outside the program, or a payload the report
+          codec cannot read *)
 
 (** Stable key for per-reason counters ("bad-checksum", ...). *)
 val reject_label : reject -> string
@@ -47,10 +49,9 @@ val reject_to_string : reject -> string
     report payload with statement ids delta-encoded.
 
     The envelope is a {!Hw.Codec.frame} around the {!Encode.report}
-    payload.  Payload field order follows the reject priority
-    ([r_pt_errors] lead, then executed / branches / traps), so
-    {!Encode.ingest} classifies rejects with one allocation-free
-    forward scan and materialises only accepted reports. *)
+    payload, and that codec is the payload's only description:
+    {!Encode.ingest} decodes it once, then validates the typed
+    report. *)
 module Encode : sig
   (** Reusable encode scratch; give each [Parallel.Pool] worker its
       own.  Buffers grow to the fleet's largest report and stay
@@ -66,18 +67,15 @@ module Encode : sig
     arena -> ?session:int -> client:int -> plan_id:int -> Client.report ->
     string
 
-  (** [check ~n_instrs ~plan_id bytes] runs every validation layer of
-      {!ingest} without materialising the report: the allocation-free
-      integrity verdict a relay (or a server deciding whether a
-      delivery is worth decoding) pays per envelope.  Never raises. *)
-  val check :
-    ?session:int ->
-    n_instrs:int -> plan_id:int -> string -> (unit, reject) result
-
   (** [ingest ~n_instrs ~plan_id bytes] runs every validation layer in
-      priority order with one forward scan; the report is decoded only
-      once every layer has passed.  Never raises — arbitrary bytes
-      yield a [reject] — and agrees with {!check} on every input. *)
+      priority order: version, digest, session, plan; then one decode
+      of the payload with {!report} and typed checks of the decoded
+      report (the first PT decode fault, then statement ids in
+      executed statements, branch outcomes and watchpoint traps).
+      Never raises — arbitrary bytes yield a [reject]; a payload the
+      codec cannot read behind a valid digest is
+      [Bad_payload "truncated envelope"] (or ["trailing envelope
+      bytes"]). *)
   val ingest :
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (Client.report, reject) result

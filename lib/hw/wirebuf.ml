@@ -120,21 +120,3 @@ let get_value r : Exec.Value.t =
   | 5 -> Exec.Value.VNull
   | 6 -> Exec.Value.VUnit
   | _ -> raise Short
-
-(* --- zero-allocation skips, for single-pass validation scans --- *)
-
-let skip_float r =
-  if r.limit - r.pos < 8 then raise Short;
-  r.pos <- r.pos + 8
-
-let skip_string r =
-  let n = get_uint r in
-  if n > r.limit - r.pos then raise Short;
-  r.pos <- r.pos + n
-
-let skip_value r =
-  match byte r with
-  | 1 | 2 | 4 -> ignore (get_int r)
-  | 3 -> skip_string r
-  | 5 | 6 -> ()
-  | _ -> raise Short

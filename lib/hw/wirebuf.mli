@@ -43,10 +43,3 @@ val get_bool : reader -> bool
 val get_float : reader -> float
 val get_string : reader -> string
 val get_value : reader -> Exec.Value.t
-
-(** Zero-allocation skips for single-pass validation scans: advance
-    the cursor past one encoded payload without materialising it. *)
-
-val skip_float : reader -> unit
-val skip_string : reader -> unit
-val skip_value : reader -> unit

@@ -168,8 +168,9 @@ let tamper =
 (* ------------------------------------------------------------------ *)
 (* Protocol: every validation layer over the wire bytes *)
 
-(* One real client report to tamper with. *)
-let fixture =
+(* The fixture program, a plan tracking its first statements, and the
+   iid bound. *)
+let fixture_setup =
   lazy
     (let program = Tsupport.Programs.counter ~locked:true in
      let all = Ir.Program.all_instrs program in
@@ -181,14 +182,19 @@ let fixture =
        List.filteri (fun i _ -> i < 6) all
        |> List.map (fun (ins : Ir.Types.instr) -> ins.iid)
      in
-     let plan = Instrument.Place.compute program tracked in
-     let plan_id = Instrument.Plan.id plan in
-     let report =
-       Gist.Client.run_one ~plan ~wp_allowed:plan.Instrument.Plan.wp_targets
-         program
-         (I.workload ~args:[ Exec.Value.VInt 3 ] 1)
-     in
-     (report, n_instrs, plan_id))
+     (program, Instrument.Place.compute program tracked, n_instrs))
+
+(* The fixture program's client report under workload seed [seed]. *)
+let fixture_report seed =
+  let program, plan, _ = Lazy.force fixture_setup in
+  Gist.Client.run_one ~plan ~wp_allowed:plan.Instrument.Plan.wp_targets program
+    (I.workload ~args:[ Exec.Value.VInt 3 ] seed)
+
+(* One real client report to tamper with. *)
+let fixture =
+  lazy
+    (let _, plan, n_instrs = Lazy.force fixture_setup in
+     (fixture_report 1, n_instrs, Instrument.Plan.id plan))
 
 let expect_reject name pred = function
   | Ok _ -> Alcotest.failf "%s: report was accepted" name
@@ -197,7 +203,7 @@ let expect_reject name pred = function
       Alcotest.failf "%s: wrong reason %s" name (P.reject_to_string r)
 
 (* ------------------------------------------------------------------ *)
-(* The binary wire envelope: Encode.encode / check / ingest *)
+(* The binary wire envelope: Encode.encode / ingest *)
 
 let wire_of ?(client = 0) ?plan_id report =
   let _, _, fixture_plan = Lazy.force fixture in
@@ -213,11 +219,35 @@ let ingest ?n_instrs ?plan_id bytes =
     ~plan_id:(Option.value ~default:p plan_id)
     bytes
 
-let expect_wire_reject name pred bytes =
-  expect_reject name pred (ingest bytes);
-  (* [check] must agree with [ingest] layer for layer. *)
-  let _, n, p = Lazy.force fixture in
-  expect_reject (name ^ " (check)") pred (P.Encode.check ~n_instrs:n ~plan_id:p bytes)
+let expect_wire_reject name pred bytes = expect_reject name pred (ingest bytes)
+
+(* A payload-layer reject, pinned by its exact message. *)
+let expect_payload_reject name expected bytes =
+  match ingest bytes with
+  | Ok _ -> Alcotest.failf "%s: report was accepted" name
+  | Error r -> Alcotest.(check string) name expected (P.reject_to_string r)
+
+let outside_exec = "malformed payload: executed statement outside the program"
+
+let outside_branch =
+  "malformed payload: branch outcome on a statement outside the program"
+
+let outside_trap =
+  "malformed payload: watchpoint trap on a statement outside the program"
+
+let truncated_thread0 =
+  "damaged PT trace: thread 0: truncated stream (missing PGD terminator)"
+
+(* A trap on statement [iid]. *)
+let trap_at iid =
+  {
+    Hw.Watchpoint.w_seq = 0;
+    w_tid = 0;
+    w_iid = iid;
+    w_addr = 0;
+    w_rw = I.Read;
+    w_value = Exec.Value.VInt 0;
+  }
 
 (* The low bit of byte [off] flipped. *)
 let flip s off =
@@ -266,8 +296,7 @@ let protocol =
         let damaged =
           { report with Gist.Client.r_pt_errors = [ (0, Hw.Pt.Truncated) ] }
         in
-        expect_wire_reject "damaged-trace"
-          (function P.Damaged_trace _ -> true | _ -> false)
+        expect_payload_reject "damaged-trace" truncated_thread0
           (wire_of damaged));
     Alcotest.test_case "out-of-range statement ids are rejected" `Quick
       (fun () ->
@@ -275,27 +304,15 @@ let protocol =
         let bad_exec =
           { report with Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ] }
         in
-        expect_wire_reject "bad-payload (executed)"
-          (function P.Bad_payload _ -> true | _ -> false)
+        expect_payload_reject "bad-payload (executed)" outside_exec
           (wire_of bad_exec);
-        let bad_trap =
-          {
-            report with
-            Gist.Client.r_traps =
-              [
-                {
-                  Hw.Watchpoint.w_seq = 0;
-                  w_tid = 0;
-                  w_iid = -2;
-                  w_addr = 0;
-                  w_rw = I.Read;
-                  w_value = Exec.Value.VInt 0;
-                };
-              ];
-          }
+        let bad_branch =
+          { report with Gist.Client.r_branches = [ (n_instrs, true) ] }
         in
-        expect_wire_reject "bad-payload (trap)"
-          (function P.Bad_payload _ -> true | _ -> false)
+        expect_payload_reject "bad-payload (branch)" outside_branch
+          (wire_of bad_branch);
+        let bad_trap = { report with Gist.Client.r_traps = [ trap_at (-2) ] } in
+        expect_payload_reject "bad-payload (trap)" outside_trap
           (wire_of bad_trap));
     Alcotest.test_case "the checksum covers the tail of the report" `Quick
       (fun () ->
@@ -339,11 +356,17 @@ let wire =
         | Ok r ->
           Alcotest.(check bool) "structurally equal" true (r = report)
         | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
-    Alcotest.test_case "check accepts what ingest accepts" `Quick (fun () ->
-        let report, n, p = Lazy.force fixture in
-        match P.Encode.check ~n_instrs:n ~plan_id:p (wire_of report) with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
+    Alcotest.test_case "ingest accepts every fleet report" `Quick
+      (fun () ->
+        (* Reports from 16 workload seeds, each sealed from its own
+           fleet slot, come back whole. *)
+        for seed = 1 to 16 do
+          let report = fixture_report seed in
+          match ingest (wire_of ~client:seed report) with
+          | Ok r -> Alcotest.(check bool) "same report" true (r = report)
+          | Error e ->
+            Alcotest.failf "seed %d rejected: %s" seed (P.reject_to_string e)
+        done);
     Alcotest.test_case "a foreign version byte is rejected first" `Quick
       (fun () ->
         let report, _, _ = Lazy.force fixture in
@@ -384,9 +407,8 @@ let wire =
             Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ];
           }
         in
-        expect_wire_reject "dropped-trace"
-          (function P.Dropped_trace 1 -> true | _ -> false)
-          (wire_of damaged));
+        expect_payload_reject "dropped-trace"
+          "dropped PT ring: thread 1 shipped no bytes" (wire_of damaged));
     Alcotest.test_case "decode damage outranks payload damage" `Quick
       (fun () ->
         let report, n_instrs, _ = Lazy.force fixture in
@@ -397,18 +419,48 @@ let wire =
             Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ];
           }
         in
-        expect_wire_reject "damaged-trace"
-          (function P.Damaged_trace _ -> true | _ -> false)
+        expect_payload_reject "damaged-trace" truncated_thread0
           (wire_of damaged));
+    Alcotest.test_case "a PT fault outranks every out-of-range id" `Quick
+      (fun () ->
+        let report, n_instrs, _ = Lazy.force fixture in
+        let damaged =
+          {
+            report with
+            Gist.Client.r_pt_errors =
+              [ (0, Hw.Pt.Truncated); (2, Hw.Pt.Empty_stream) ];
+            r_executed = [ (0, [ n_instrs + 3 ]) ];
+            r_branches = [ (-1, false) ];
+            r_traps = [ trap_at n_instrs ];
+          }
+        in
+        (* the first PT entry wins, even when a later one is a drop *)
+        expect_payload_reject "damaged-trace" truncated_thread0
+          (wire_of damaged));
+    Alcotest.test_case "out-of-range ids rank executed, branch, trap" `Quick
+      (fun () ->
+        let report, n_instrs, _ = Lazy.force fixture in
+        let bad =
+          {
+            report with
+            Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ];
+            r_branches = [ (n_instrs, true) ];
+            r_traps = [ trap_at (-1) ];
+          }
+        in
+        expect_payload_reject "executed beats branch and trap" outside_exec
+          (wire_of bad);
+        expect_payload_reject "branch beats trap" outside_branch
+          (wire_of { bad with Gist.Client.r_executed = [] });
+        expect_payload_reject "trap" outside_trap
+          (wire_of { bad with Gist.Client.r_executed = []; r_branches = [] }));
     Alcotest.test_case "out-of-range statement ids are rejected" `Quick
       (fun () ->
         let report, n_instrs, _ = Lazy.force fixture in
         let bad =
           { report with Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ] }
         in
-        expect_wire_reject "bad-payload"
-          (function P.Bad_payload _ -> true | _ -> false)
-          (wire_of bad));
+        expect_payload_reject "bad-payload" outside_exec (wire_of bad));
     Alcotest.test_case "dropped-trace has a stable counter label" `Quick
       (fun () ->
         Alcotest.(check string) "label" "dropped-trace"
