@@ -19,6 +19,7 @@
 
 module A = Experiments.Adaptive
 module S = Gist.Server
+module D = Tsupport.Diagnoses
 
 let fleet ~faults =
   if faults then
@@ -123,18 +124,6 @@ let fuzz_differential ~faults () =
 (* Checkpoint determinism: the adaptive diagnosis is bit-identical at
    any pool size, and between streaming and retained ingestion. *)
 
-let compare_diagnoses name (a : S.diagnosis) (b : S.diagnosis) =
-  Alcotest.(check string)
-    (name ^ ": sketch")
-    (Fsketch.Render.render a.sketch)
-    (Fsketch.Render.render b.sketch);
-  Alcotest.(check int) (name ^ ": iterations") a.iterations b.iterations;
-  Alcotest.(check int) (name ^ ": recurrences") a.recurrences b.recurrences;
-  Alcotest.(check int) (name ^ ": total runs") a.total_runs b.total_runs;
-  Alcotest.(check int) (name ^ ": final sigma") a.final_sigma b.final_sigma;
-  Alcotest.(check bool) (name ^ ": trace") true (a.trace = b.trace);
-  Alcotest.(check bool) (name ^ ": fleet ledger") true (a.fleet = b.fleet)
-
 let adaptive_diagnosis ?pool ?ingest (b : Bugbase.Common.t) =
   let _, failure = Option.get (Bugbase.Common.find_target_failure b) in
   let config =
@@ -152,12 +141,12 @@ let determinism_case (b : Bugbase.Common.t) =
   Alcotest.test_case b.name `Quick (fun () ->
       let seq = adaptive_diagnosis b in
       Parallel.Pool.with_pool ~jobs:3 (fun pool ->
-          compare_diagnoses (b.name ^ " jobs 1 vs 3") seq
+          D.compare (b.name ^ " jobs 1 vs 3") seq
             (adaptive_diagnosis ~pool b)))
 
 let ingest_case (b : Bugbase.Common.t) =
   Alcotest.test_case b.name `Quick (fun () ->
-      compare_diagnoses
+      D.compare
         (b.name ^ " streaming vs retained")
         (adaptive_diagnosis ~ingest:S.Streaming b)
         (adaptive_diagnosis ~ingest:S.Retained b))

@@ -21,26 +21,9 @@
    (kills + torn tails + corrupted checkpoints) over the Bugbase. *)
 
 module S = Gist.Server
+module D = Tsupport.Diagnoses
 module Svc = Serve.Service
 module J = Serve.Journal
-
-let compare_diagnoses name (a : S.diagnosis) (b : S.diagnosis) =
-  Alcotest.(check string)
-    (name ^ ": sketch")
-    (Fsketch.Render.render a.sketch)
-    (Fsketch.Render.render b.sketch);
-  Alcotest.(check int) (name ^ ": iterations") a.iterations b.iterations;
-  Alcotest.(check int) (name ^ ": recurrences") a.recurrences b.recurrences;
-  Alcotest.(check int) (name ^ ": total runs") a.total_runs b.total_runs;
-  Alcotest.(check int) (name ^ ": final sigma") a.final_sigma b.final_sigma;
-  Alcotest.(check (list int)) (name ^ ": tracked") a.tracked b.tracked;
-  Alcotest.(check bool)
-    (name ^ ": avg overhead bit-identical")
-    true
-    (Int64.bits_of_float a.avg_overhead_pct
-    = Int64.bits_of_float b.avg_overhead_pct);
-  Alcotest.(check bool) (name ^ ": per-iteration trace") true (a.trace = b.trace);
-  Alcotest.(check bool) (name ^ ": fleet ledger") true (a.fleet = b.fleet)
 
 (* The adversarial shape of test_serve, with a checkpoint every 3
    rounds so a kill usually lands rounds past the newest checkpoint
@@ -49,12 +32,6 @@ let tight =
   { Svc.default with
     Svc.max_inflight = 16; max_queue = 64; quantum = 7; round_budget = 23;
     checkpoint_every_rounds = 3 }
-
-let one_shot (sp : Svc.spec) =
-  S.diagnose ~config:sp.sp_config ~ingest:sp.sp_ingest
-    ?oracle:sp.sp_oracle ~bug_name:sp.sp_name
-    ~failure_type:sp.sp_failure_type ~program:sp.sp_program
-    ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
 
 (* Kill plans for [Serve.Chaos.drive]: one undamaged kill after round
    [k], or after every round. *)
@@ -67,7 +44,7 @@ let check_done ?(label = Fun.id) reference (oc : Serve.Chaos.outcome) =
   List.iter
     (fun (name, (c : Svc.completion)) ->
       match c.Svc.c_result with
-      | Ok d -> compare_diagnoses (label name) (List.assoc name reference) d
+      | Ok d -> D.compare (label name) (List.assoc name reference) d
       | Error f ->
         Alcotest.failf "session %s failed: %s" name
           (Svc.session_failure_to_string f))
@@ -164,7 +141,7 @@ let kill_differential ~jobs ~faults specs () =
     (Printf.sprintf "enough sessions (%d)" (List.length specs))
     true
     (List.length specs >= 10);
-  let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
+  let reference = List.map (fun sp -> (sp.Svc.sp_name, D.one_shot sp)) specs in
   let oc =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         Serve.Chaos.drive ~pool ~kills:(fun _ -> kill) ~specs
@@ -226,7 +203,7 @@ let corpus_through_recovery () =
     (Printf.sprintf "enough diagnosable reproducers (%d)" (List.length specs))
     true
     (List.length specs >= 15);
-  let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
+  let reference = List.map (fun sp -> (sp.Svc.sp_name, D.one_shot sp)) specs in
   (* One kill, landed mid-stream: five rounds past submission. *)
   let oc =
     Parallel.Pool.with_pool ~jobs:4 (fun pool ->
@@ -246,7 +223,7 @@ let corpus_through_recovery () =
 
 let bugbase_chaos () =
   let specs = List.map (bugbase_spec ~faults:false) Bugbase.Registry.all in
-  let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
+  let reference = List.map (fun sp -> (sp.Svc.sp_name, D.one_shot sp)) specs in
   let rates =
     { Faults.Chaos.kill = 0.3; ckpt_corrupt = 0.3; torn_write = 0.3;
       poison = 0.0 }
@@ -427,7 +404,7 @@ let drain_replay ~triage () =
 
 let digest_covers_every_field () =
   let b = Option.get (Bugbase.Registry.find "Pbzip2") in
-  let d = one_shot (bugbase_spec ~faults:true b) in
+  let d = D.one_shot (bugbase_spec ~faults:true b) in
   let on_last f l =
     match List.rev l with
     | x :: tl -> List.rev (f x :: tl)
@@ -476,7 +453,7 @@ let digest_covers_every_field () =
 
 let corrupted_checkpoint_fallback () =
   let specs = List.map small_spec [ "a"; "b"; "c" ] in
-  let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
+  let reference = List.map (fun sp -> (sp.Svc.sp_name, D.one_shot sp)) specs in
   let kills tick =
     if tick = 5 then { kill with Faults.Chaos.p_ckpt_corrupt = Some 3 }
     else Faults.Chaos.no_plan
@@ -713,7 +690,7 @@ let snapshot_tests =
           | Error e ->
             Alcotest.failf "restore: %s" (S.Session.snapshot_error_to_string e)
         in
-        compare_diagnoses "mid-flight snapshot" (finish original)
+        D.compare "mid-flight snapshot" (finish original)
           (finish restored));
     Alcotest.test_case "typed refusals" `Quick (fun () ->
         let sp = bugbase_spec ~faults:false (List.hd Bugbase.Registry.all) in

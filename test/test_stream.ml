@@ -14,24 +14,7 @@
    pipeline. *)
 
 module S = Gist.Server
-
-let compare_diagnoses name (a : S.diagnosis) (b : S.diagnosis) =
-  Alcotest.(check string)
-    (name ^ ": sketch")
-    (Fsketch.Render.render a.sketch)
-    (Fsketch.Render.render b.sketch);
-  Alcotest.(check int) (name ^ ": iterations") a.iterations b.iterations;
-  Alcotest.(check int) (name ^ ": recurrences") a.recurrences b.recurrences;
-  Alcotest.(check int) (name ^ ": total runs") a.total_runs b.total_runs;
-  Alcotest.(check int) (name ^ ": final sigma") a.final_sigma b.final_sigma;
-  Alcotest.(check (list int)) (name ^ ": tracked") a.tracked b.tracked;
-  Alcotest.(check bool)
-    (name ^ ": avg overhead bit-identical")
-    true
-    (Int64.bits_of_float a.avg_overhead_pct
-    = Int64.bits_of_float b.avg_overhead_pct);
-  Alcotest.(check bool) (name ^ ": per-iteration trace") true (a.trace = b.trace);
-  Alcotest.(check bool) (name ^ ": fleet ledger") true (a.fleet = b.fleet)
+module D = Tsupport.Diagnoses
 
 (* ------------------------------------------------------------------ *)
 (* The whole Bugbase, reliable fleet and the PR4 fault regime. *)
@@ -55,7 +38,7 @@ let diagnose_bug ~ingest ~faults (b : Bugbase.Common.t) =
 
 let bugbase_case ~faults (b : Bugbase.Common.t) =
   Alcotest.test_case b.name `Quick (fun () ->
-      compare_diagnoses b.name
+      D.compare b.name
         (diagnose_bug ~ingest:S.Streaming ~faults b)
         (diagnose_bug ~ingest:S.Retained ~faults b))
 
@@ -93,7 +76,7 @@ let fuzz_differential ~faults () =
             ~failure ()
         in
         incr diagnosed;
-        compare_diagnoses case.Fuzz.Gen.c_name (run S.Streaming)
+        D.compare case.Fuzz.Gen.c_name (run S.Streaming)
           (run S.Retained)
       | _ -> ())
     (Lazy.force fuzz_cases);

@@ -31,21 +31,10 @@
        suite coalesce mid-flight and after completion respectively. *)
 
 module S = Gist.Server
+module D = Tsupport.Diagnoses
 module Svc = Serve.Service
 module T = Serve.Triage
 module F = Fsketch.Fingerprint
-
-let compare_diagnoses name (a : S.diagnosis) (b : S.diagnosis) =
-  Alcotest.(check string)
-    (name ^ ": sketch")
-    (Fsketch.Render.render a.sketch)
-    (Fsketch.Render.render b.sketch);
-  Alcotest.(check int) (name ^ ": iterations") a.iterations b.iterations;
-  Alcotest.(check int) (name ^ ": total runs") a.total_runs b.total_runs;
-  Alcotest.(check int) (name ^ ": final sigma") a.final_sigma b.final_sigma;
-  Alcotest.(check (list int)) (name ^ ": tracked") a.tracked b.tracked;
-  Alcotest.(check bool) (name ^ ": per-iteration trace") true (a.trace = b.trace);
-  Alcotest.(check bool) (name ^ ": fleet ledger") true (a.fleet = b.fleet)
 
 (* ------------------------------------------------------------------ *)
 (* The fingerprint population: every Bugbase bug whose target failure
@@ -463,12 +452,6 @@ let resolver specs =
     specs;
   fun name -> Hashtbl.find_opt by_name name
 
-let one_shot (sp : Svc.spec) =
-  S.diagnose ~config:sp.sp_config ~ingest:sp.sp_ingest ?oracle:sp.sp_oracle
-    ~bug_name:sp.sp_name ~failure_type:sp.sp_failure_type
-    ~program:sp.sp_program ~workload_of:sp.sp_workload_of
-    ~failure:sp.sp_failure ()
-
 (* Drive [specs] through one triaging service; [kill] recovers a
    fresh incarnation from the journal after EVERY round.  Returns the
    first-sighting completions, the cluster table view, the lane view
@@ -543,11 +526,11 @@ let check_against_one_shot label specs served =
           match Hashtbl.find_opt reference name with
           | Some d -> d
           | None ->
-            let d = one_shot sp in
+            let d = D.one_shot sp in
             Hashtbl.add reference name d;
             d
         in
-        compare_diagnoses (Printf.sprintf "%s: %s" label name) oracle d
+        D.compare (Printf.sprintf "%s: %s" label name) oracle d
       | Error f ->
         Alcotest.failf "%s: session %s failed: %s" label name
           (Svc.session_failure_to_string f))
