@@ -224,8 +224,11 @@ module Session : sig
         (** valid bytes, wrong spec or impossible state: bug name,
             ingest mode, early-exit flag or program shape disagree with
             the restore arguments, a tracked statement is not in the
-            program, or the gathering pass's counters contradict each
-            other (say more consumed than granted) *)
+            program, the gathering pass's counters contradict each
+            other (say more consumed than granted), or the fleet and
+            per-iteration ledgers break an identity the session
+            maintains (say more lost than dispatched); the string
+            names the check *)
 
   val snapshot_error_to_string : snapshot_error -> string
 
@@ -238,8 +241,9 @@ module Session : sig
       bytes] rebuilds the session from {!snapshot} output plus the
       same create-time spec.  [config], [ingest] and [oracle] must
       match the original [create] (the codec cross-checks what it
-      can: bug name, ingest mode, early-exit flag, program shape, and
-      the gathering counters against each other).
+      can: bug name, ingest mode, early-exit flag, program shape, the
+      gathering counters against each other, and the ledger
+      identities).
       Never raises on any bytes. *)
   val restore :
     ?config:Config.t ->
