@@ -190,7 +190,8 @@ module Session = struct
      [g_budget] is the slot budget fixed at pass start; [g_granted]
      slots have been handed out, [g_delivered] outcomes have come
      back, [g_consumed] of those were folded (the rest arrived after
-     the fold stopped and were discarded). *)
+     the fold stopped and were discarded), [g_valid] of the folded
+     ones carried a valid report. *)
   type gather = {
     g_ctx : ictx;
     g_base : int;
@@ -201,7 +202,6 @@ module Session = struct
     mutable g_consumed : int;
     mutable g_stopped : bool;
     mutable g_valid : int;
-    mutable g_slots : int;
   }
 
   type phase = Gathering of gather | Done
@@ -238,21 +238,13 @@ module Session = struct
     mutable base_cycles : float;
     mutable extra_cycles : float;
     mutable ov_buf : float array;
-    mutable ov_len : int;
-    mutable recurrences : int;
-    mutable total_runs : int;
-    mutable client_counter : int;
-    mutable iteration : int;
+    mutable ov_len : int; (* valid reports this iteration *)
     mutable best_sketch : Fsketch.Sketch.t option;
-    mutable stop : bool;
+    (* Newest first, one entry per finished iteration: the session's
+       only ledger.  The iteration count, recurrences, run totals and
+       fleet stats are folds over it plus, while gathering, the
+       iteration in progress. *)
     mutable trace : iteration_info list;
-    mutable f_dispatched : int;
-    mutable f_valid : int;
-    mutable f_lost : int;
-    mutable f_rejected : int;
-    mutable f_retried : int;
-    mutable f_quarantined : int;
-    mutable f_degraded : int;
     by_kind : (string, int) Hashtbl.t;
     by_reason : (string, int) Hashtbl.t;
     mutable sim_delay : float;
@@ -267,9 +259,7 @@ module Session = struct
     mutable it_dispatched : int;
     mutable it_lost : int;
     mutable it_rejected : int;
-    mutable it_retried : int;
     mutable it_quarantined : int;
-    mutable it_valid : int;
     mutable it_exited : bool;
     mutable phase : phase;
   }
@@ -279,6 +269,13 @@ module Session = struct
 
   let bump tbl k =
     Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+  let tally tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  let gathering t = match t.phase with Gathering _ -> true | Done -> false
 
   (* Per-iteration overhead samples, in consume order, in a float
      array reused across iterations (capacity only ever grows).  The
@@ -505,18 +502,23 @@ module Session = struct
       o_quarantined = !quarantined;
     }
 
-  (* Start a gathering pass over fresh clients.  The old [run_pass]
-     evaluated its initial condition before streaming any slot; a pass
-     that fails it is born stopped and completes immediately with
-     (0, 0), exactly like the old [if ... then 0]. *)
+  (* Start a gathering pass over fresh clients: the first client after
+     the slots the previous pass consumed (discarded surplus never
+     counts).  The old [run_pass] evaluated its initial condition
+     before streaming any slot; a pass that fails it is born stopped
+     and completes immediately with (0, 0), exactly like the old
+     [if ... then 0]. *)
   let start_pass t ctx ~first =
     let budget = t.config.Config.max_clients_per_iter - t.clients in
     let stopped = budget <= 0 || (not (quota_open t)) || t.it_exited in
+    let base =
+      match t.phase with Gathering g -> g.g_base + g.g_consumed | Done -> 0
+    in
     t.phase <-
       Gathering
         {
           g_ctx = ctx;
-          g_base = t.client_counter;
+          g_base = base;
           g_budget = max budget 0;
           g_first = first;
           g_granted = 0;
@@ -524,7 +526,6 @@ module Session = struct
           g_consumed = 0;
           g_stopped = stopped;
           g_valid = 0;
-          g_slots = 0;
         }
 
   (* The instrumentation plan for [tracked], its id and its watchpoint
@@ -546,7 +547,6 @@ module Session = struct
 
   (* --- offline: choose the tracked portion, build the patch --- *)
   let begin_iteration t =
-    t.iteration <- t.iteration + 1;
     let t0 = Sys.time () in
     let tracked =
       List.sort_uniq compare
@@ -563,9 +563,7 @@ module Session = struct
     t.it_dispatched <- 0;
     t.it_lost <- 0;
     t.it_rejected <- 0;
-    t.it_retried <- 0;
     t.it_quarantined <- 0;
-    t.it_valid <- 0;
     t.it_exited <- false;
     let ctx =
       {
@@ -584,13 +582,6 @@ module Session = struct
      and the stop/sigma decision.  Verbatim from the synchronous
      loop. *)
   let wrapup t ctx ~degraded =
-    if degraded then t.f_degraded <- t.f_degraded + 1;
-    t.f_dispatched <- t.f_dispatched + t.it_dispatched;
-    t.f_valid <- t.f_valid + t.it_valid;
-    t.f_lost <- t.f_lost + t.it_lost;
-    t.f_rejected <- t.f_rejected + t.it_rejected;
-    t.f_retried <- t.f_retried + t.it_retried;
-    t.f_quarantined <- t.f_quarantined + t.it_quarantined;
     t.prev_plan <- Some (ctx.x_plan, ctx.x_plan_id, ctx.x_groups);
     (* --- refinement (§3.2): keep tracked statements that executed in
        failing runs; adopt watchpoint-discovered statements the
@@ -631,58 +622,56 @@ module Session = struct
             :: t.observations)
         t.iter_reports;
     (* --- build the sketch from the representative failing run --- *)
-    (match t.repr_failing with
-     | None -> ()
-     | Some repr ->
-       (* Gist reports program counters as *source lines* (§4), so the
-          statement set is closed over source lines: every IR
-          instruction on a line one pc hit is part of the sketch. *)
-       let core_set =
-         IntSet.union t.confirmed
-           (IntSet.union t.discovered (IntSet.singleton t.failure.pc))
-       in
-       let lines = Hashtbl.create 16 in
-       IntSet.iter
-         (fun iid ->
-           let l = Ir.Program.loc_of t.program iid in
-           if l.line > 0 then Hashtbl.replace lines (l.file, l.line) ())
-         core_set;
-       let stmt_set =
-         List.fold_left
-           (fun acc (i : Ir.Types.instr) ->
-             if i.loc.line > 0 && Hashtbl.mem lines (i.loc.file, i.loc.line)
-             then IntSet.add i.iid acc
-             else acc)
-           core_set
-           (Ir.Program.all_instrs t.program)
-       in
-       let per_thread =
-         List.filter_map
-           (fun (tid, iids) ->
-             let filtered =
-               List.filter (fun iid -> IntSet.mem iid stmt_set) iids
-             in
-             if filtered = [] then None else Some (tid, filtered))
-           repr.r_executed
-       in
-       (* [Acc.rank] is bit-identical to [Stats.rank] over the same
-          observations (integer counts, total-order sort). *)
-       let ranked =
-         if t.streaming then Predict.Stats.Acc.rank t.acc
-         else Predict.Stats.rank t.observations
-       in
-       let sketch =
-         Fsketch.Sketch.build ~bug_name:t.bug_name
-           ~failure_type:t.failure_type ~program:t.program ~failure:t.failure
-           ~per_thread ~traps:repr.r_traps ~ranked
-       in
-       t.best_sketch <- Some sketch;
-       (* --- developer decision (§3.2.1): stop AsT or double sigma --- *)
-       let satisfied =
-         match t.oracle with Some f -> f sketch | None -> false
-       in
-       if satisfied then t.stop <- true);
-    let oracle_stop = t.stop in
+    let oracle_stop =
+      match t.repr_failing with
+      | None -> false
+      | Some repr ->
+        (* Gist reports program counters as *source lines* (§4), so the
+           statement set is closed over source lines: every IR
+           instruction on a line one pc hit is part of the sketch. *)
+        let core_set =
+          IntSet.union t.confirmed
+            (IntSet.union t.discovered (IntSet.singleton t.failure.pc))
+        in
+        let lines = Hashtbl.create 16 in
+        IntSet.iter
+          (fun iid ->
+            let l = Ir.Program.loc_of t.program iid in
+            if l.line > 0 then Hashtbl.replace lines (l.file, l.line) ())
+          core_set;
+        let stmt_set =
+          List.fold_left
+            (fun acc (i : Ir.Types.instr) ->
+              if i.loc.line > 0 && Hashtbl.mem lines (i.loc.file, i.loc.line)
+              then IntSet.add i.iid acc
+              else acc)
+            core_set
+            (Ir.Program.all_instrs t.program)
+        in
+        let per_thread =
+          List.filter_map
+            (fun (tid, iids) ->
+              let filtered =
+                List.filter (fun iid -> IntSet.mem iid stmt_set) iids
+              in
+              if filtered = [] then None else Some (tid, filtered))
+            repr.r_executed
+        in
+        (* [Acc.rank] is bit-identical to [Stats.rank] over the same
+           observations (integer counts, total-order sort). *)
+        let ranked =
+          if t.streaming then Predict.Stats.Acc.rank t.acc
+          else Predict.Stats.rank t.observations
+        in
+        let sketch =
+          Fsketch.Sketch.build ~bug_name:t.bug_name
+            ~failure_type:t.failure_type ~program:t.program ~failure:t.failure
+            ~per_thread ~traps:repr.r_traps ~ranked
+        in
+        t.best_sketch <- Some sketch;
+        (* --- developer decision (§3.2.1): stop AsT or double sigma --- *)
+        match t.oracle with Some f -> f sketch | None -> false
+    in
     (* Convergence across iterations: when the same predictor holds
        separation at the end of two consecutive non-degraded
        iterations, skip the remaining sigma doublings -- the ranking
@@ -705,8 +694,7 @@ module Session = struct
      | None ->
        t.win_streak <- 0;
        t.prev_winner <- None);
-    let converged_now = t.early && (not t.stop) && t.win_streak >= 2 in
-    if converged_now then t.stop <- true;
+    let converged_now = t.early && (not oracle_stop) && t.win_streak >= 2 in
     t.trace <-
       {
         it_sigma = t.sigma;
@@ -719,7 +707,7 @@ module Session = struct
         it_dispatched = t.it_dispatched;
         it_lost = t.it_lost;
         it_rejected = t.it_rejected;
-        it_retried = t.it_retried;
+        it_retried = t.it_dispatched - t.clients;
         it_quarantined = t.it_quarantined;
         it_degraded = degraded;
         it_early_exit =
@@ -728,35 +716,30 @@ module Session = struct
            else None);
       }
       :: t.trace;
-    if not t.stop then begin
-      if t.iteration >= t.config.Config.max_iterations then t.stop <- true
-      else if degraded then
-        (* Degraded mode: hold sigma for another iteration rather than
-           doubling on evidence the faults thinned out. *)
-        ()
-      else if t.sigma >= t.slice_size then t.stop <- true
-      else t.sigma <- t.sigma * 2
-    end;
-    if t.stop then begin
+    if
+      oracle_stop || converged_now
+      || List.length t.trace >= t.config.Config.max_iterations
+      || ((not degraded) && t.sigma >= t.slice_size)
+    then begin
       t.online_time <- Sys.time () -. t.t_online0 -. t.offline_time;
       t.phase <- Done
     end
-    else begin_iteration t
+    else begin
+      (* Degraded mode: hold sigma for another iteration rather than
+         doubling on evidence the faults thinned out. *)
+      if not degraded then t.sigma <- t.sigma * 2;
+      begin_iteration t
+    end
 
   (* The old consume body, verbatim: all slot accounting happens here,
      in slot order.  Returns whether gathering should continue. *)
   let consume t (g : gather) o =
     t.clients <- t.clients + 1;
-    g.g_slots <- g.g_slots + 1;
     t.it_dispatched <- t.it_dispatched + o.o_attempts;
     t.it_lost <- t.it_lost + o.o_lost;
     t.it_rejected <- t.it_rejected + List.length o.o_rejects;
-    t.it_retried <- t.it_retried + (o.o_attempts - 1);
     if o.o_quarantined then t.it_quarantined <- t.it_quarantined + 1;
     t.sim_delay <- t.sim_delay +. o.o_delay;
-    (* Runs that executed (everything but lost dispatches) are
-       monitored production runs, valid or not. *)
-    t.total_runs <- t.total_runs + (o.o_attempts - o.o_lost);
     List.iter (fun k -> bump t.by_kind (Faults.Fault.kind_name k)) o.o_kinds;
     List.iter
       (fun rej -> bump t.by_reason (Protocol.reject_label rej))
@@ -766,17 +749,11 @@ module Session = struct
      | Some sv ->
        let report = sv.sv_report in
        g.g_valid <- g.g_valid + 1;
-       t.it_valid <- t.it_valid + 1;
        t.audit <- Faults.Fault.mix t.audit sv.sv_digest;
        ov_push t report.Client.r_overhead_pct;
        t.base_cycles <- t.base_cycles +. report.r_base_cycles;
        t.extra_cycles <- t.extra_cycles +. report.r_extra_cycles;
        if sv.sv_matches then begin
-         (* Recurrences (the Table 1 latency metric) count only the
-            failing runs AsT actually needed, not surplus failures
-            that happen while waiting for enough successful runs. *)
-         if t.fails < t.config.Config.fail_quota then
-           t.recurrences <- t.recurrences + 1;
          t.fails <- t.fails + 1;
          t.repr_failing <- Some report
        end
@@ -807,7 +784,7 @@ module Session = struct
     if
       t.early && (not t.it_exited)
       && t.clients mod t.config.Config.checkpoint_every = 0
-      && (not (below_quorum t t.it_valid t.clients))
+      && (not (below_quorum t t.ov_len t.clients))
       && Predict.Stats.Acc.separated ~delta:t.config.Config.separation_delta
            t.acc
          <> None
@@ -817,9 +794,8 @@ module Session = struct
     && t.clients < t.config.Config.max_clients_per_iter
 
   (* A pass is complete once every granted slot's outcome came back
-     and either the fold said stop or the budget is exhausted.  Then:
-     advance the client counter by the slots actually consumed
-     (discarded surplus never counts), and decide quorum.  Quorum with graceful degradation: if
+     and either the fold said stop or the budget is exhausted.  Then
+     decide quorum, with graceful degradation: if
      fewer than [quorum_frac] of pass 1's slots delivered a valid
      report, re-run once with fresh clients (lost and rejected slots
      stay consumed); if the fleet still cannot reach quorum the
@@ -827,10 +803,9 @@ module Session = struct
      doubled -- never steer AsT from a sample the faults have thinned
      out. *)
   let finish_pass t (g : gather) =
-    t.client_counter <- g.g_base + g.g_consumed;
     match g.g_first with
     | None ->
-      let v1 = g.g_valid and s1 = g.g_slots in
+      let v1 = g.g_valid and s1 = g.g_consumed in
       if
         below_quorum t v1 s1 && quota_open t
         && t.clients < t.config.Config.max_clients_per_iter
@@ -838,7 +813,7 @@ module Session = struct
       else wrapup t g.g_ctx ~degraded:(below_quorum t v1 s1)
     | Some (v1, s1) ->
       wrapup t g.g_ctx
-        ~degraded:(below_quorum t (v1 + g.g_valid) (s1 + g.g_slots))
+        ~degraded:(below_quorum t (v1 + g.g_valid) (s1 + g.g_consumed))
 
   let rec need t =
     match t.phase with
@@ -943,20 +918,8 @@ module Session = struct
       extra_cycles = 0.0;
       ov_buf = Array.make 256 0.0;
       ov_len = 0;
-      recurrences = 0;
-      total_runs = 0;
-      client_counter = 0;
-      iteration = 0;
       best_sketch = None;
-      stop = false;
       trace = [];
-      f_dispatched = 0;
-      f_valid = 0;
-      f_lost = 0;
-      f_rejected = 0;
-      f_retried = 0;
-      f_quarantined = 0;
-      f_degraded = 0;
       by_kind = Hashtbl.create 8;
       by_reason = Hashtbl.create 8;
       sim_delay = 0.0;
@@ -970,9 +933,7 @@ module Session = struct
       it_dispatched = 0;
       it_lost = 0;
       it_rejected = 0;
-      it_retried = 0;
       it_quarantined = 0;
-      it_valid = 0;
       it_exited = false;
       phase = Done;
     }
@@ -1002,12 +963,23 @@ module Session = struct
           ~per_thread:[ (t.failure.tid, [ t.failure.pc ]) ]
           ~traps:[] ~ranked:[]
     in
+    let trace = List.rev t.trace in
+    let total f = sum f trace in
+    let dispatched = total (fun it -> it.it_dispatched) in
+    let lost = total (fun it -> it.it_lost) in
+    let rejected = total (fun it -> it.it_rejected) in
     {
       sketch;
       slice = t.slice;
-      iterations = t.iteration;
-      recurrences = t.recurrences;
-      total_runs = t.total_runs;
+      iterations = List.length trace;
+      (* Recurrences (the Table 1 latency metric) count only the
+         failing runs AsT actually needed, not surplus failures that
+         happen while waiting for enough successful runs. *)
+      recurrences =
+        total (fun it -> min it.it_fails t.config.Config.fail_quota);
+      (* Runs that executed (everything but lost dispatches) are
+         monitored production runs, valid or not. *)
+      total_runs = dispatched - lost;
       (* When no valid report carried base cycles, every per-run
          overhead was 0/0 = 0 as well, so 0.0 is the old list-average
          fallback without retaining the list. *)
@@ -1022,23 +994,20 @@ module Session = struct
       tracked =
         List.sort_uniq compare
           (Slicing.Slicer.take t.slice t.sigma @ IntSet.elements t.discovered);
-      trace = List.rev t.trace;
+      trace;
       fleet =
         {
-          f_dispatched = t.f_dispatched;
-          f_delivered = t.f_dispatched - t.f_lost;
-          f_valid = t.f_valid;
-          f_lost = t.f_lost;
-          f_rejected = t.f_rejected;
-          f_retried = t.f_retried;
-          f_quarantined = t.f_quarantined;
-          f_degraded_iters = t.f_degraded;
-          f_by_kind =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_kind []
-            |> List.sort compare;
-          f_by_reason =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_reason []
-            |> List.sort compare;
+          f_dispatched = dispatched;
+          f_delivered = dispatched - lost;
+          (* every dispatch ends lost, rejected or valid *)
+          f_valid = dispatched - lost - rejected;
+          f_lost = lost;
+          f_rejected = rejected;
+          f_retried = total (fun it -> it.it_retried);
+          f_quarantined = total (fun it -> it.it_quarantined);
+          f_degraded_iters = total (fun it -> Bool.to_int it.it_degraded);
+          f_by_kind = tally t.by_kind;
+          f_by_reason = tally t.by_reason;
         };
     }
 
@@ -1060,17 +1029,19 @@ module Session = struct
 
   let progress t =
     {
-      p_iteration = t.iteration;
+      p_iteration = List.length t.trace + Bool.to_int (gathering t);
       p_sigma = t.sigma;
       p_tracked =
         (match t.phase with
          | Gathering g -> List.length g.g_ctx.x_tracked
          | Done -> 0);
       p_clients = t.clients;
-      p_valid = t.it_valid;
+      p_valid = t.ov_len;
       p_fails = t.fails;
       p_succs = t.succs;
-      p_total_runs = t.total_runs;
+      p_total_runs =
+        sum (fun (it : iteration_info) -> it.it_dispatched - it.it_lost) t.trace
+        + if gathering t then t.it_dispatched - t.it_lost else 0;
       p_finished = t.phase = Done;
     }
 
@@ -1095,15 +1066,21 @@ module Session = struct
      payload), so a crash-only service can checkpoint mid-diagnosis and
      restore a bit-identical continuation.
 
-     What is serialized: every field that is not a pure function of
-     the create-time inputs.  Derived state — the slice, the lowered
-     program, the instrumentation plan, watchpoint groups, plan ids —
-     is rebuilt deterministically from the serialized tracked lists at
-     restore ([Instrument.Place.compute] is a pure function of
+     What is serialized (version 2): only state that cannot be
+     recomputed.  Derived state — the slice, the lowered program, the
+     instrumentation plan, watchpoint groups, plan ids — is rebuilt
+     deterministically from the serialized tracked lists at restore
+     ([Instrument.Place.compute] is a pure function of
      (program, tracked)), which keeps snapshots O(slice + trace), not
-     O(program).  [best_sketch] is deliberately not serialized: every
-     path from a gathering phase to [Done] passes through [wrapup],
-     which rebuilds it from [repr_failing] and the restored sets.
+     O(program).  The iteration count, client counter, recurrences, run
+     totals and fleet stats are folds over the trace and the gathering
+     pass, so they have no bytes of their own.  [best_sketch] is
+     deliberately not serialized: every path from a gathering phase to
+     [Done] passes through [wrapup], which rebuilds it from
+     [repr_failing] and the restored sets.  Host time is not
+     serialized either: a restored session's offline and online times
+     cover its own incarnation (plus the restore, charged to offline),
+     so equal sessions snapshot to equal bytes.
 
      Snapshots are only legal at a quiescent point: no granted thunk
      still outstanding (the service checkpoints at round boundaries,
@@ -1114,7 +1091,7 @@ module Session = struct
   module C = Hw.Codec
 
   let snapshot_magic = 0x675A (* "gZ" *)
-  let snapshot_version = 1
+  let snapshot_version = 2
 
   type snapshot_error =
     | Snapshot_truncated
@@ -1221,9 +1198,6 @@ module Session = struct
         (fun (predictors, failing) -> Predict.Stats.{ predictors; failing })
         (pair (list predictor) bool))
 
-  let tally tbl =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
   let table l =
     let tbl = Hashtbl.create 8 in
     List.iter (fun (k, v) -> Hashtbl.replace tbl k v) l;
@@ -1234,23 +1208,17 @@ module Session = struct
     | Gathering g -> g
     | Done -> invalid_arg "Session.snapshot: session already finished"
 
-  (* The snapshot payload: every field that is not a pure function of
-     the create-time inputs, in byte order.  Decoding yields a rebuild
-     function over a fresh session (the spec's program, slice and
-     config), which checks the guard fields and recomputes the derived
-     plans from the tracked lists. *)
-  (* Decoding a snapshot yields this rebuild over a fresh session (the
-     spec's program, slice and config): it checks the guard fields and
-     recomputes the derived plans from the tracked lists. *)
-  let rebuild bug_name streaming early n_instrs offline_time online_time
-      sigma discovered confirmed (cells, total_failing, n_obs) observations
-      repr_failing audit base_cycles extra_cycles ov recurrences total_runs
-      client_counter iteration stop trace f_dispatched f_valid f_lost
-      f_rejected f_retried f_quarantined f_degraded by_kind by_reason
-      sim_delay prev_winner win_streak prev_tracked fails succs clients
-      iter_reports it_dispatched it_lost it_rejected it_retried
-      it_quarantined it_valid it_exited x_tracked g_base g_budget g_first
-      g_granted g_consumed g_stopped g_valid g_slots (base : t) =
+  (* Decoding the snapshot payload yields this rebuild over a fresh
+     session (the spec's program, slice and config): it checks the
+     guard fields and the ledger identities, then recomputes the
+     derived plans from the tracked lists. *)
+  let rebuild bug_name streaming early n_instrs sigma discovered confirmed
+      (cells, total_failing, n_obs) observations repr_failing audit
+      base_cycles extra_cycles ov trace by_kind by_reason sim_delay
+      prev_winner win_streak prev_tracked fails succs clients iter_reports
+      it_dispatched it_lost it_rejected it_quarantined it_exited x_tracked
+      g_base g_budget g_first g_granted g_consumed g_stopped g_valid
+      (base : t) =
     let known =
       IntSet.of_list
         (List.map
@@ -1261,34 +1229,33 @@ module Session = struct
     let mismatch what = Error (Snapshot_mismatch what) in
     (* The ledger identities [run_slot], [consume] and [wrapup]
        maintain (every dispatch ends lost, rejected or valid; every
-       consumed slot is one client, its extra dispatches retries; the
-       session ledger is its trace plus the iteration in progress):
-       the first one the snapshot breaks, if any. *)
+       consumed slot is one client, its extra dispatches retries; every
+       rejection has one reason): the first one the snapshot breaks,
+       if any.  The session totals are folds over the trace, so these
+       per-entry checks keep every one of them non-negative. *)
     let ledger =
-      let sum = List.fold_left ( + ) 0 in
-      let traced f = sum (List.map f trace) in
+      let valid = Array.length ov in
       List.find_map
         (fun (holds, what) -> if holds then None else Some what)
         [
-          ( it_dispatched = it_lost + it_rejected + it_valid,
+          ( it_dispatched = it_lost + it_rejected + valid,
             "iteration dispatches are not lost + rejected + valid" );
-          ( f_dispatched = f_lost + f_rejected + f_valid,
-            "session dispatches are not lost + rejected + valid" );
-          ( it_retried = it_dispatched - clients,
-            "iteration retries are not dispatches - clients" );
-          (fails + succs <= it_valid, "more fails + successes than valid reports");
-          ( Array.length ov = it_valid,
-            "overhead samples are not one per valid report" );
-          (List.length trace = iteration - 1, "trace length is not iteration - 1");
-          ( f_degraded = List.length (List.filter (fun it -> it.it_degraded) trace),
-            "degraded count disagrees with the trace" );
-          ( f_dispatched = traced (fun it -> it.it_dispatched)
-            && f_lost = traced (fun it -> it.it_lost)
-            && f_rejected = traced (fun it -> it.it_rejected)
-            && f_retried = traced (fun it -> it.it_retried)
-            && f_quarantined = traced (fun it -> it.it_quarantined),
-            "session ledger is not the sum of its trace" );
-          ( sum (List.map snd by_reason) = f_rejected + it_rejected,
+          ( clients <= it_dispatched,
+            "iteration has more clients than dispatches" );
+          (fails + succs <= valid, "more fails + successes than valid reports");
+          ( List.for_all
+              (fun (it : iteration_info) ->
+                it.it_lost + it.it_rejected <= it.it_dispatched)
+              trace,
+            "a traced iteration lost or rejected more than it dispatched" );
+          ( List.for_all
+              (fun (it : iteration_info) ->
+                it.it_retried = it.it_dispatched - it.it_clients)
+              trace,
+            "traced retries are not dispatches - clients" );
+          ( sum snd by_reason
+            = it_rejected
+              + sum (fun (it : iteration_info) -> it.it_rejected) trace,
             "rejection reasons do not sum to the rejections" );
         ]
     in
@@ -1304,21 +1271,16 @@ module Session = struct
     then mismatch "tracked statement outside the program"
     (* The gathering pass's counters, as [grant], [deliver] and
        [consume] maintain them: grants never exceed the budget, only
-       delivered (here: granted) outcomes are consumed, every consumed
-       outcome is one slot, valid ones are a subset, and the client
-       counter only moves when a pass finishes. *)
+       delivered (here: granted) outcomes are consumed, and valid ones
+       are a subset. *)
     else if not (g_consumed <= g_granted && g_granted <= g_budget) then
       mismatch
         (Printf.sprintf "gathering pass consumed %d of %d granted, budget %d"
            g_consumed g_granted g_budget)
-    else if g_slots <> g_consumed || g_valid > g_slots then
+    else if g_valid > g_consumed then
       mismatch
-        (Printf.sprintf "gathering pass %d valid of %d slots, %d consumed"
-           g_valid g_slots g_consumed)
-    else if client_counter <> g_base then
-      mismatch
-        (Printf.sprintf "client counter %d inside a pass based at %d"
-           client_counter g_base)
+        (Printf.sprintf "gathering pass %d valid of %d consumed" g_valid
+           g_consumed)
     else if ledger <> None then mismatch (Option.get ledger)
     else
       let t0 = Sys.time () in
@@ -1331,8 +1293,7 @@ module Session = struct
       Array.blit ov 0 ov_buf 0 ov_len;
       Ok {
         base with
-        offline_time = offline_time +. base.offline_time +. (Sys.time () -. t0);
-        online_time;
+        offline_time = base.offline_time +. (Sys.time () -. t0);
         sigma;
         discovered = IntSet.of_list discovered;
         confirmed = IntSet.of_list confirmed;
@@ -1344,19 +1305,7 @@ module Session = struct
         extra_cycles;
         ov_buf;
         ov_len;
-        recurrences;
-        total_runs;
-        client_counter;
-        iteration;
-        stop;
         trace;
-        f_dispatched;
-        f_valid;
-        f_lost;
-        f_rejected;
-        f_retried;
-        f_quarantined;
-        f_degraded;
         by_kind = table by_kind;
         by_reason = table by_reason;
         sim_delay;
@@ -1370,9 +1319,7 @@ module Session = struct
         it_dispatched;
         it_lost;
         it_rejected;
-        it_retried;
         it_quarantined;
-        it_valid;
         it_exited;
         phase =
           Gathering
@@ -1394,10 +1341,12 @@ module Session = struct
               g_consumed;
               g_stopped;
               g_valid;
-              g_slots;
             };
       }
 
+  (* The snapshot payload, in byte order: every field that can be
+     neither recomputed from the create-time inputs nor folded from the
+     others. *)
   let image =
     C.record rebuild
       C.(
@@ -1407,10 +1356,6 @@ module Session = struct
         |+ (bool, fun t -> t.streaming)
         |+ (bool, fun t -> t.early)
         |+ (uint, fun t -> t.n_instrs)
-        (* host-time ledgers (never bit-compared, but carried so
-           recovery does not forget the offline phase already paid) *)
-        |+ (float, fun t -> t.offline_time)
-        |+ (float, fun t -> t.online_time)
         (* cross-iteration AsT state *)
         |+ (uint, fun t -> t.sigma)
         |+ (list uint, fun t -> IntSet.elements t.discovered)
@@ -1423,19 +1368,7 @@ module Session = struct
         |+ (float, fun t -> t.base_cycles)
         |+ (float, fun t -> t.extra_cycles)
         |+ (array float, fun t -> Array.sub t.ov_buf 0 t.ov_len)
-        |+ (uint, fun t -> t.recurrences)
-        |+ (uint, fun t -> t.total_runs)
-        |+ (uint, fun t -> t.client_counter)
-        |+ (uint, fun t -> t.iteration)
-        |+ (bool, fun t -> t.stop)
         |+ (list iteration_info, fun t -> t.trace)
-        |+ (uint, fun t -> t.f_dispatched)
-        |+ (uint, fun t -> t.f_valid)
-        |+ (uint, fun t -> t.f_lost)
-        |+ (uint, fun t -> t.f_rejected)
-        |+ (uint, fun t -> t.f_retried)
-        |+ (uint, fun t -> t.f_quarantined)
-        |+ (uint, fun t -> t.f_degraded)
         |+ (list (pair string uint), fun t -> tally t.by_kind)
         |+ (list (pair string uint), fun t -> tally t.by_reason)
         |+ (float, fun t -> t.sim_delay)
@@ -1453,9 +1386,7 @@ module Session = struct
         |+ (uint, fun t -> t.it_dispatched)
         |+ (uint, fun t -> t.it_lost)
         |+ (uint, fun t -> t.it_rejected)
-        |+ (uint, fun t -> t.it_retried)
         |+ (uint, fun t -> t.it_quarantined)
-        |+ (uint, fun t -> t.it_valid)
         |+ (bool, fun t -> t.it_exited)
         (* the gathering pass *)
         |+ (list uint, fun t -> (gather t).g_ctx.x_tracked)
@@ -1465,8 +1396,7 @@ module Session = struct
         |+ (uint, fun t -> (gather t).g_granted)
         |+ (uint, fun t -> (gather t).g_consumed)
         |+ (bool, fun t -> (gather t).g_stopped)
-        |+ (uint, fun t -> (gather t).g_valid)
-        |+ (uint, fun t -> (gather t).g_slots)))
+        |+ (uint, fun t -> (gather t).g_valid)))
 
   let snapshot t =
     let g = gather t in

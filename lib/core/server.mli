@@ -205,14 +205,23 @@ module Session : sig
 
   (** {2 Crash-only snapshots}
 
-      The full session state machine as versioned, digest-checked
-      bytes: a {!Hw.Codec.frame} around one record codec that embeds
-      reports with {!Protocol.Encode.report}.  Derived state (slice, plans,
-      watchpoint groups) is rebuilt deterministically at restore from
-      the serialized tracked lists, so snapshots are O(slice + trace)
-      and a restored session is a bit-identical continuation: the same
-      grants, deliveries and final diagnosis (host-time fields aside)
-      as the never-interrupted original. *)
+      The session state machine as versioned (version 2),
+      digest-checked bytes: a {!Hw.Codec.frame} around one record
+      codec that embeds reports with {!Protocol.Encode.report}.  Only
+      state that cannot be recomputed is persisted: the AsT sets and
+      predictor statistics, the iteration trace, the fault and
+      rejection tallies, the iteration in progress and its gathering
+      pass.  Restore recomputes the rest: plans and watchpoint groups
+      from the serialized tracked lists, and the iteration count,
+      client counter, recurrences, run totals and fleet stats as folds
+      over the trace, so a total and its parts cannot disagree in the
+      bytes.  Snapshots are O(slice + trace), and a restored session is
+      a bit-identical continuation: the same grants, deliveries,
+      snapshots and final diagnosis as the never-interrupted original.
+      Host time is not persisted: a restored session's
+      [offline_time_s]/[online_time_s] cover only its own incarnation
+      (the restore itself is charged to offline time), so two equal
+      sessions snapshot to equal bytes. *)
 
   (** Why bytes were refused by {!restore}. *)
   type snapshot_error =
@@ -225,10 +234,15 @@ module Session : sig
             ingest mode, early-exit flag or program shape disagree with
             the restore arguments, a tracked statement is not in the
             program, the gathering pass's counters contradict each
-            other (say more consumed than granted), or the fleet and
-            per-iteration ledgers break an identity the session
-            maintains (say more lost than dispatched); the string
-            names the check *)
+            other (consumed <= granted <= budget, valid <= consumed),
+            or the ledger breaks an identity the session maintains:
+            the iteration in progress dispatched exactly its lost,
+            rejected and valid reports, at least once per client, with
+            no more fails + successes than valid reports; every trace
+            entry lost and rejected at most what it dispatched and
+            retried exactly dispatches - clients; the rejection
+            reasons sum to the rejections.  The string names the
+            check. *)
 
   val snapshot_error_to_string : snapshot_error -> string
 
@@ -243,7 +257,8 @@ module Session : sig
       match the original [create] (the codec cross-checks what it
       can: bug name, ingest mode, early-exit flag, program shape, the
       gathering counters against each other, and the ledger
-      identities).
+      identities listed under [Snapshot_mismatch]).  Bytes of another
+      snapshot version are refused with [Snapshot_bad_version].
       Never raises on any bytes. *)
   val restore :
     ?config:Config.t ->

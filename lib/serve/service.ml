@@ -278,7 +278,6 @@ type t = {
      replay and consumed (audited) as the replay re-completes them *)
   expected : (int, int) Hashtbl.t;
   mutable submitted : int;
-  mutable admitted : int;
   mutable rejected : int;
   mutable completed : int;
   mutable failed : int;
@@ -429,7 +428,6 @@ let fresh ~journal ~pool cfg =
     draining = false;
     expected = Hashtbl.create 16;
     submitted = 0;
-    admitted = 0;
     rejected = 0;
     completed = 0;
     failed = 0;
@@ -455,14 +453,16 @@ let fresh ~journal ~pool cfg =
    [Session.snapshot] bytes, queued and active specs by name (specs
    hold closures; recovery re-resolves them).  Version 2 added the
    triage front-end: lane queues, DRR credits, lane counters and the
-   cluster table.
+   cluster table.  Version 3 dropped the admitted counter, which is
+   the sum of the two lane counters, and embeds version-2 session
+   snapshots.
 
    Decoding yields a rebuild function: resolving names to specs and
    restoring sessions needs the caller's resolver, and its refusals
    ([Recover_failed]) are hard errors no older checkpoint can fix,
    unlike undecodable bytes. *)
 
-let state_version = 2
+let state_version = 3
 
 exception Recover_failed of rerror
 
@@ -568,7 +568,7 @@ let state_codec =
   C.versioned state_version
     C.(
       record
-        (fun cfg submitted admitted rejected completed failed coalesced shed
+        (fun cfg submitted rejected completed failed coalesced shed
              fresh_admitted recur_admitted fresh_wait recur_wait fresh_credit
              recur_credit rounds slots peak_inflight max_wait divergences
              draining queue rqueue active triage ~pool ~resolve ->
@@ -585,7 +585,6 @@ let state_codec =
             active;
             draining;
             submitted;
-            admitted;
             rejected;
             completed;
             failed;
@@ -606,7 +605,6 @@ let state_codec =
         (fields
         |+ (sconfig_codec, fun t -> t.cfg)
         |+ (uint, fun t -> t.submitted)
-        |+ (uint, fun t -> t.admitted)
         |+ (uint, fun t -> t.rejected)
         |+ (uint, fun t -> t.completed)
         |+ (uint, fun t -> t.failed)
@@ -936,7 +934,6 @@ let step t =
               ~failure_type:sp.sp_failure_type ~program:sp.sp_program
               ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
           in
-          t.admitted <- t.admitted + 1;
           let qwait = max 0 (round - 1 - p.p_round) in
           (match lane with
            | Fresh_lane ->
@@ -1121,7 +1118,7 @@ let take_completions t =
 let stats t =
   {
     st_submitted = t.submitted;
-    st_admitted = t.admitted;
+    st_admitted = t.fresh_admitted + t.recur_admitted;
     st_rejected = t.rejected;
     st_completed = t.completed;
     st_failed = t.failed;

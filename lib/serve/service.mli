@@ -56,10 +56,10 @@ type spec = {
     survives (each substitutes deterministic crash outcomes) before it
     is quarantined.
 
-    Triage (the duplicate-storm front-end; default off so a plain
-    service is byte-compatible with earlier journals and tests):
-    [triage] turns fingerprint-keyed coalescing, the two admission
-    lanes and recurrence shedding on.  [max_clusters] bounds the LRU
+    Triage (the duplicate-storm front-end; default off, in which case
+    every session is admitted on the fresh lane): [triage] turns
+    fingerprint-keyed coalescing, the two admission lanes and
+    recurrence shedding on.  [max_clusters] bounds the LRU
     cluster table.  [fresh_weight]/[recur_weight] set the
     deficit-round-robin admission ratio between never-seen
     fingerprints and re-diagnoses of known ones.  [recency_rounds]:
@@ -312,7 +312,16 @@ val journal_bytes : t -> string
     written — when completions are waiting to be harvested (a
     checkpoint must never strand a completion: un-harvested results
     are regenerated by replay, harvested ones must not be) or when the
-    journal is off. *)
+    journal is off.
+
+    The checkpoint is service state version 3: the scheduler shape,
+    the ledger counters, both lanes' queues, every active session's
+    ticket and {!Gist.Server.Session.snapshot} (version 2) and the
+    triage table.  Nothing derivable is stored: [st_admitted] is the
+    sum of the two lane counters, and no host time is persisted, so a
+    service checkpoints to the same bytes in every run.  A checkpoint
+    of another version does not decode: {!recover} skips it like a
+    damaged one. *)
 val checkpoint : t -> bool
 
 (** Stop admitting: every later {!submit} is refused with [Busy].

@@ -5,13 +5,9 @@
    Each builder produces one persisted or wire format from a fixed
    input: a report envelope, a mid-diagnosis session snapshot, the
    journal of a fixed triage-on storm after a few rounds (whose last
-   checkpoint carries the service state) and a triage table.
-
-   Session snapshots carry two host-time floats (offline and online
-   seconds), so any format that embeds a snapshot differs from run to
-   run in those bytes and in the digests covering them.  Each fixture
-   ships with a mask listing exactly those byte ranges; comparisons
-   skip masked bytes and nothing else. *)
+   checkpoint carries the service state) and a triage table.  No
+   format carries host time, so every builder is deterministic and
+   every fixture is compared byte for byte. *)
 
 module Svc = Serve.Service
 
@@ -171,7 +167,7 @@ let triage_table () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Fixture files and masks *)
+(* Fixture files *)
 
 let fixtures =
   [
@@ -188,26 +184,13 @@ let read_file path =
   close_in ic;
   s
 
-(* A mask file lists "offset length" ranges, one per line. *)
-let read_mask path =
-  if not (Sys.file_exists path) then []
-  else
-    String.split_on_char '\n' (read_file path)
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map (fun l -> Scanf.sscanf l "%d %d" (fun o n -> (o, n)))
-
-let masked mask i = List.exists (fun (o, n) -> i >= o && i < o + n) mask
-
-(* [None] when [a] and [b] agree outside the mask, else the first
-   differing offset (or the shorter length). *)
-let first_difference ~mask a b =
-  if String.length a <> String.length b then
-    Some (min (String.length a) (String.length b))
-  else
-    let n = String.length a in
-    let rec go i =
-      if i >= n then None
-      else if a.[i] <> b.[i] && not (masked mask i) then Some i
-      else go (i + 1)
-    in
-    go 0
+(* [None] when [a] and [b] are equal, else the first differing
+   offset (the shorter length when one is a prefix of the other). *)
+let first_difference a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i =
+    if i < n then if a.[i] <> b.[i] then Some i else go (i + 1)
+    else if String.length a = String.length b then None
+    else Some n
+  in
+  go 0

@@ -3,9 +3,7 @@
    test/golden/<name>.bin holds each format's bytes as the encoders
    wrote them before the formats moved onto one codec module; every
    encoder must still reproduce them, and decoding a fixture then
-   encoding the result must give the fixture back.  Bytes listed in
-   test/golden/<name>.mask (host-time floats inside session snapshots
-   and the digests covering them) are skipped; see
+   encoding the result must give the fixture back, byte for byte; see
    test/support/golden.ml.  test/golden/diagnoses.tsv pins the
    diagnoses of a fixed case set the same way. *)
 
@@ -13,10 +11,9 @@ module G = Tsupport.Golden
 module Svc = Serve.Service
 
 let fixture name = G.read_file (Filename.concat "golden" (name ^ ".bin"))
-let mask name = G.read_mask (Filename.concat "golden" (name ^ ".mask"))
 
 let check_bytes ~what name got =
-  match G.first_difference ~mask:(mask name) (fixture name) got with
+  match G.first_difference (fixture name) got with
   | None -> ()
   | Some i ->
     Alcotest.failf "%s: %s differs from its fixture at byte %d (%d vs %d bytes)"
@@ -266,9 +263,15 @@ let snapshot_parts () =
   let h = r.W.pos in
   (String.sub bytes 0 h, s_id, String.sub bytes (h + 8) (String.length bytes - h - 8))
 
-let reseal_snapshot payload =
+(* [payload] behind a fresh header and digest for [version] (default:
+   the current one, 2). *)
+let reseal_snapshot ?(version = 2) payload =
   let header, s_id, _ = snapshot_parts () in
-  reseal ~key:[ 3; 0; s_id; 1 ] header payload
+  let magic = W.get_uint (W.reader header) in
+  let header =
+    String.concat "" (List.map (C.encode C.uint) [ magic; version; s_id ])
+  in
+  reseal ~key:[ 3; 0; s_id; version ] header payload
 
 let restores bytes =
   match G.restore_of (G.snapshot_spec ()) bytes with Ok _ | Error _ -> true
@@ -322,8 +325,6 @@ let snapshot_layout =
     ("streaming", u bool);
     ("early", u bool);
     ("n_instrs", u uint);
-    ("offline_time", u float);
-    ("online_time", u float);
     ("sigma", u uint);
     ("discovered", u (list uint));
     ("confirmed", u (list uint));
@@ -336,31 +337,44 @@ let snapshot_layout =
     ("base_cycles", u float);
     ("extra_cycles", u float);
     ("ov", u (array float));
-  ]
-  @ uints [ "recurrences"; "total_runs"; "client_counter"; "iteration" ]
-  @ [ ("stop", u bool); ("trace", u (list iteration_info)) ]
-  @ uints
-      [ "f_dispatched"; "f_valid"; "f_lost"; "f_rejected"; "f_retried";
-        "f_quarantined"; "f_degraded" ]
-  @ [
-      ("by_kind", u (list (pair string uint)));
+    ("trace", u (list iteration_info));
+    ("by_kind", u (list (pair string uint)));
       ("by_reason", u (list (pair string uint)));
       ("sim_delay", u float);
       ("prev_winner", u (option predictor));
       ("win_streak", u uint);
-      ("prev_tracked", u (option (list uint)));
-    ]
+    ("prev_tracked", u (option (list uint)));
+  ]
   @ uints [ "fails"; "succs"; "clients" ]
   @ [ ("iter_reports", u (list (pair P.Encode.report bool))) ]
-  @ uints
-      [ "it_dispatched"; "it_lost"; "it_rejected"; "it_retried";
-        "it_quarantined"; "it_valid" ]
+  @ uints [ "it_dispatched"; "it_lost"; "it_rejected"; "it_quarantined" ]
   @ [ ("it_exited", u bool); ("x_tracked", u (list uint)) ]
   @ uints [ "g_base"; "g_budget" ]
   @ [ ("g_first", u (option (pair uint uint))) ]
   @ uints [ "g_granted"; "g_consumed" ]
-  @ [ ("g_stopped", u bool) ]
-  @ uints [ "g_valid"; "g_slots" ]
+  @ [ ("g_stopped", u bool); ("g_valid", u uint) ]
+
+(* The first trace entry's counters as "trace.<field>" windows: after
+   the list count, five uints, the overhead float and the oracle bool,
+   then five more uints. *)
+let trace_entry_fields payload (pos, _) =
+  let r = W.reader ~pos payload in
+  if W.get_uint r = 0 then Alcotest.fail "the fixture's trace is empty";
+  let uints names =
+    List.map
+      (fun name ->
+        let at = r.W.pos in
+        ignore (W.get_uint r);
+        ("trace." ^ name, (at, r.W.pos - at)))
+      names
+  in
+  let front =
+    uints [ "it_sigma"; "it_tracked"; "it_fails"; "it_succs"; "it_clients" ]
+  in
+  r.W.pos <- r.W.pos + 9;
+  front
+  @ uints
+      [ "it_dispatched"; "it_lost"; "it_rejected"; "it_retried"; "it_quarantined" ]
 
 (* Each layout field's (offset, length) in [payload]: the shortest
    window its codec decodes exactly (every field is self-delimiting). *)
@@ -381,7 +395,7 @@ let snapshot_fields payload =
       (0, []) snapshot_layout
   in
   if stop <> n then Alcotest.fail "snapshot layout mirror does not span the payload";
-  fields
+  fields @ trace_entry_fields payload (List.assoc "trace" fields)
 
 let snapshot_tests =
   [
@@ -403,21 +417,30 @@ let snapshot_tests =
       (fun ms ->
         let _, _, payload = snapshot_parts () in
         restores (reseal_snapshot (List.fold_left mutate payload ms)));
+    Alcotest.test_case "restore: a version-1 snapshot is refused" `Quick
+      (fun () ->
+        let _, _, payload = snapshot_parts () in
+        match
+          G.restore_of (G.snapshot_spec ()) (reseal_snapshot ~version:1 payload)
+        with
+        | Error (Gist.Server.Session.Snapshot_bad_version 1) -> ()
+        | Error e -> Alcotest.failf "refused as %s" (snapshot_error e)
+        | Ok _ -> Alcotest.fail "restored");
     (* A snapshot ends with its gathering pass: budget, pass-1 summary
        (None, one 0 byte, in pass 1), granted, consumed, stopped,
-       valid, slots.  Rewrite those counters and re-seal behind a
-       fresh digest. *)
+       valid.  Rewrite those counters and re-seal behind a fresh
+       digest. *)
     Alcotest.test_case "restore: contradictory gathering counters are refused"
       `Quick (fun () ->
         let _, _, payload = snapshot_parts () in
-        match split_varints payload 7 with
-        | front, [ budget; 0; granted; consumed; stopped; valid; slots ] ->
+        match split_varints payload 6 with
+        | front, [ budget; 0; granted; consumed; stopped; valid ] ->
           let restore counters =
             G.restore_of (G.snapshot_spec ())
               (reseal_snapshot
                  (front ^ String.concat "" (List.map (C.encode C.uint) counters)))
           in
-          (match restore [ budget; 0; granted; consumed; stopped; valid; slots ] with
+          (match restore [ budget; 0; granted; consumed; stopped; valid ] with
            | Ok _ -> ()
            | Error e -> Alcotest.failf "unchanged counters: %s" (snapshot_error e));
           List.iter
@@ -428,11 +451,11 @@ let snapshot_tests =
               | Ok _ -> Alcotest.failf "%s: restored" what)
             [
               ( "consumed > granted",
-                [ budget; 0; granted; granted + 1; stopped; valid; granted + 1 ] );
+                [ budget; 0; granted; granted + 1; stopped; valid ] );
               ( "granted > budget",
-                [ budget; 0; budget + 1; consumed; stopped; valid; slots ] );
-              ( "valid > slots",
-                [ budget; 0; granted; consumed; stopped; slots + 1; slots ] );
+                [ budget; 0; budget + 1; consumed; stopped; valid ] );
+              ( "valid > consumed",
+                [ budget; 0; granted; consumed; stopped; consumed + 1 ] );
             ]
         | _ -> Alcotest.fail "the fixture's gathering pass is not in pass 1");
     (* Rewrite ledger counters behind a fresh digest; each rewrite
@@ -455,6 +478,9 @@ let snapshot_tests =
                payload
         in
         let bump names = List.map (fun n -> (n, get n + 1)) names in
+        let valid =
+          W.get_uint (W.reader ~pos:(fst (List.assoc "ov" fields)) payload)
+        in
         List.iter
           (fun (changes, expected) ->
             let what = String.concat "+" (List.map fst changes) in
@@ -467,18 +493,18 @@ let snapshot_tests =
             | Ok _ -> Alcotest.failf "%s: restored" what)
           [
             (bump [ "it_lost" ], "iteration dispatches are not lost + rejected + valid");
-            (bump [ "f_lost" ], "session dispatches are not lost + rejected + valid");
-            (bump [ "f_valid" ], "session dispatches are not lost + rejected + valid");
-            (bump [ "it_retried" ], "iteration retries are not dispatches - clients");
-            ( [ ("fails", get "it_valid" - get "succs" + 1) ],
+            ( [ ("clients", get "it_dispatched" + 1) ],
+              "iteration has more clients than dispatches" );
+            ( [ ("fails", valid - get "succs" + 1) ],
               "more fails + successes than valid reports" );
-            ( bump [ "it_valid"; "it_dispatched"; "it_retried" ],
-              "overhead samples are not one per valid report" );
-            (bump [ "iteration" ], "trace length is not iteration - 1");
-            (bump [ "f_degraded" ], "degraded count disagrees with the trace");
-            (bump [ "f_retried" ], "session ledger is not the sum of its trace");
-            (bump [ "f_quarantined" ], "session ledger is not the sum of its trace");
-            ( bump [ "it_rejected"; "it_dispatched"; "it_retried" ],
+            ( [
+                ( "trace.it_lost",
+                  get "trace.it_dispatched" - get "trace.it_rejected" + 1 );
+              ],
+              "a traced iteration lost or rejected more than it dispatched" );
+            ( bump [ "trace.it_retried" ],
+              "traced retries are not dispatches - clients" );
+            ( bump [ "it_rejected"; "it_dispatched" ],
               "rejection reasons do not sum to the rejections" );
           ]);
   ]

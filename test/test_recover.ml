@@ -728,6 +728,53 @@ let snapshot_tests =
           Alcotest.failf "mismatch: %s"
             (S.Session.snapshot_error_to_string e)
         | Ok _ -> Alcotest.fail "bytes restored against the wrong spec");
+    Alcotest.test_case "checkpoints are deterministic" `Slow (fun () ->
+        let regime = { D.faults = Faults.Fault.spread 0.10; early_exit = true } in
+        (* Quiescent points, in grant/deliver exchanges from create. *)
+        let points = [ 2; 5; 9 ] in
+        List.iter
+          (fun (b : Bugbase.Common.t) ->
+            let sp = Option.get ((D.bugbase_case b).D.spec regime) in
+            let s = session_of sp in
+            let snaps =
+              List.fold_left
+                (fun (at, acc) k ->
+                  advance s (k - at);
+                  if (S.Session.progress s).S.Session.p_finished then (k, acc)
+                  else (k, (k, S.Session.snapshot s) :: acc))
+                (0, []) points
+              |> snd |> List.rev
+            in
+            if snaps = [] then
+              Alcotest.failf "%s: finished before any point" b.name;
+            let restored bytes =
+              match restore_of sp bytes with
+              | Ok s -> s
+              | Error e ->
+                Alcotest.failf "%s: restore: %s" b.name
+                  (S.Session.snapshot_error_to_string e)
+            in
+            List.iter
+              (fun (j, bj) ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: snapshot (restore b) = b at %d" b.name j)
+                  bj
+                  (S.Session.snapshot (restored bj));
+                List.iter
+                  (fun (k, bk) ->
+                    if j < k then begin
+                      let r = restored bj in
+                      advance r (k - j);
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s: restored at %d, advanced to %d"
+                           b.name j k)
+                        bk (S.Session.snapshot r)
+                    end)
+                  snaps)
+              snaps)
+          Bugbase.Registry.all;
+        Alcotest.(check string) "the golden journal is reproducible"
+          (Tsupport.Golden.journal ()) (Tsupport.Golden.journal ()));
     Alcotest.test_case "snapshot is refused mid-grant and when done" `Quick
       (fun () ->
         let sp = bugbase_spec ~faults:false (List.hd Bugbase.Registry.all) in

@@ -522,6 +522,69 @@ let gate =
       (gate_equals_one_shot ~faults:true);
   ]
 
+(* Speculative surplus never reaches the consume fold.  Grant each
+   pass's whole budget in one batch and deliver the outcomes one at a
+   time.  With everything granted, [need] says [Slots 0] until the
+   batch is delivered, whether or not the fold has stopped; the stop
+   shows as a delivery that leaves [p_clients] unchanged.  From there
+   on every outcome delivered is [crashed_outcome]: were any of them
+   folded, the ledger (a lost dispatch, a crash fault, a straggler
+   timeout) would differ from the one-shot diagnosis at batch 1.
+   Returns the diagnosis and the number of outcomes discarded. *)
+let surplus_discarded sp =
+  let module Ss = S.Session in
+  let s = Tsupport.Golden.session_of sp in
+  let discarded = ref 0 in
+  let rec loop () =
+    match Ss.need s with
+    | Ss.Finished -> Ss.result s
+    | Ss.Slots n ->
+      let thunks = Ss.grant s n in
+      let stopped = ref false in
+      Array.iteri
+        (fun i th ->
+          if !stopped then Ss.deliver s [| Ss.crashed_outcome s |]
+          else begin
+            let before = (Ss.progress s).Ss.p_clients in
+            Ss.deliver s [| th () |];
+            stopped := (Ss.progress s).Ss.p_clients = before
+          end;
+          if !stopped then begin
+            incr discarded;
+            if i < Array.length thunks - 1 && Ss.need s <> Ss.Slots 0 then
+              Alcotest.fail "need asked for slots with outcomes outstanding"
+          end)
+        thunks;
+      loop ()
+  in
+  let d = loop () in
+  (d, !discarded)
+
+let surplus =
+  [
+    Alcotest.test_case "surplus delivered after a stop is discarded" `Slow
+      (fun () ->
+        List.iter
+          (fun r ->
+            let discarded = ref 0 in
+            List.iter
+              (fun (b : Bugbase.Common.t) ->
+                match (D.bugbase_case b).D.spec r with
+                | None -> ()
+                | Some sp ->
+                  let d, k = surplus_discarded sp in
+                  discarded := !discarded + k;
+                  Alcotest.(check int)
+                    (b.name ^ ", " ^ D.regime_name r)
+                    (Serve.Service.diagnosis_digest (D.one_shot sp))
+                    (Serve.Service.diagnosis_digest d))
+              Bugbase.Registry.all;
+            if !discarded = 0 then
+              Alcotest.failf "%s: no pass stopped with outcomes outstanding"
+                (D.regime_name r))
+          D.regimes);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -546,6 +609,7 @@ let () =
             (fuzz_differential ~faults:true);
         ] );
       ("corpus", corpus);
+      ("surplus", surplus);
       ("admission", admission);
       ("migration", migration);
       ("session-id", session_id_independence);
