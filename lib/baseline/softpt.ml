@@ -7,8 +7,8 @@
 let full_trace ?(max_steps = 400_000) ?(preempt_prob = 0.35) program workload =
   let counters = Exec.Cost.create () in
   let hooks = Exec.Interp.no_hooks () in
-  hooks.step <-
-    (fun ~tid:_ ~instr:_ ->
+  hooks.pre_instr <-
+    (fun ~tid:_ ~instr:_ ~addr:_ ->
       counters.sw_trace_events <- counters.sw_trace_events + 1);
   hooks.branch <-
     (fun ~tid:_ ~instr:_ ~taken:_ ->

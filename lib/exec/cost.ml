@@ -69,9 +69,6 @@ let gist_overhead_percent c =
 let pt_overhead_percent c =
   percent ~extra:(pt_extra_cycles c) ~base:(base_cycles c)
 
-let wp_overhead_percent c =
-  percent ~extra:(wp_extra_cycles c) ~base:(base_cycles c)
-
 let rr_overhead_percent c =
   percent ~extra:(rr_extra_cycles c) ~base:(base_cycles c)
 

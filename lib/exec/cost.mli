@@ -22,16 +22,6 @@ type t = {
 
 val create : unit -> t
 
-(** Cost constants, in abstract cycles. *)
-
-val base_cycles_per_instr : float
-val cycles_per_pt_byte : float
-val cycles_per_pt_toggle : float
-val cycles_per_wp_trap : float
-val cycles_per_wp_arm : float
-val cycles_per_rr_event : float
-val cycles_per_sw_trace_event : float
-
 (** Aggregate cycle counts for a run. *)
 
 val base_cycles : t -> float
@@ -48,6 +38,5 @@ val percent : extra:float -> base:float -> float
 
 val gist_overhead_percent : t -> float
 val pt_overhead_percent : t -> float
-val wp_overhead_percent : t -> float
 val rr_overhead_percent : t -> float
 val sw_trace_overhead_percent : t -> float

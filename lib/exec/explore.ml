@@ -30,9 +30,9 @@ let run_prefix ?(max_steps = 50_000) program (w : Interp.workload)
   let interesting_step = ref false in
   let hooks = Interp.no_hooks () in
   hooks.pre_instr <-
-    (fun ctx ->
+    (fun ~tid:_ ~instr ~addr:_ ->
       interesting_step :=
-        (match ctx.ctx_instr.kind with
+        (match instr.kind with
          | Load _ | Store _ | Load_global _ | Store_global _ | Lock _
          | Unlock _ | Free _ | Join _ | Spawn _ ->
            true

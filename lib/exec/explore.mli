@@ -8,16 +8,6 @@
     is reachable within a bound — or that no failing schedule exists
     within it. *)
 
-(** One run under a forced schedule prefix (non-preemptive beyond it). *)
-type probe = {
-  p_result : Interp.result;
-  p_choices : int array;                (** tid chosen at every step *)
-  p_expansions : (int * int list) list; (** preemption points and alternatives *)
-}
-
-val run_prefix :
-  ?max_steps:int -> Ir.Types.program -> Interp.workload -> int array -> probe
-
 type exploration = {
   schedules_run : int;
   truncated : bool;  (** the schedule budget ran out before the bound *)

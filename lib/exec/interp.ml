@@ -21,38 +21,23 @@ module L = Ir.Lowered
 
 type rw = Read | Write
 
-(* What an instrumentation hook may inspect at a pre-instruction
-   program point (enough to arm a watchpoint on the address the
-   upcoming access will touch). *)
-type pre_ctx = {
-  ctx_tid : int;
-  ctx_instr : instr;
-  read_reg : string -> Value.t option;
-  global_addr : string -> int option;
-}
+let no_addr = min_int
 
 type hooks = {
-  mutable pre_instr : pre_ctx -> unit;
+  mutable pre_instr : tid:int -> instr:instr -> addr:int -> unit;
   mutable mem_access :
     tid:int -> instr:instr -> addr:int -> rw:rw -> value:Value.t -> unit;
   mutable branch : tid:int -> instr:instr -> taken:bool -> unit;
   mutable ret : tid:int -> instr:instr -> resume:iid option -> unit;
-  mutable step : tid:int -> instr:instr -> unit;
   mutable sched : choice:int -> unit;
 }
 
-(* The default [pre_instr] is one shared physical closure so the hot
-   loop can recognise it with [==] and skip building the [pre_ctx]
-   record (and its [read_reg] closure) when nobody is listening. *)
-let ignore_pre_instr : pre_ctx -> unit = fun _ -> ()
-
 let no_hooks () =
   {
-    pre_instr = ignore_pre_instr;
+    pre_instr = (fun ~tid:_ ~instr:_ ~addr:_ -> ());
     mem_access = (fun ~tid:_ ~instr:_ ~addr:_ ~rw:_ ~value:_ -> ());
     branch = (fun ~tid:_ ~instr:_ ~taken:_ -> ());
     ret = (fun ~tid:_ ~instr:_ ~resume:_ -> ());
-    step = (fun ~tid:_ ~instr:_ -> ());
     sched = (fun ~choice:_ -> ());
   }
 
@@ -223,6 +208,15 @@ let resolve_addr base_v offset =
   | VPtr a -> a + offset
   | VNull -> crash Segfault "null dereference"
   | v -> crash (Type_error "dereference of non-pointer") (Value.to_string v)
+
+(* The address [li] is about to touch, for the [pre_instr] hook;
+   unlike [resolve_addr] it never crashes, answering [no_addr]. *)
+let pre_addr st fr (li : L.linstr) =
+  match li.L.li_kind with
+  | LLoad (_, LReg s, off) | LStore (LReg s, off, _) -> (
+    match Array.unsafe_get fr.regs s with VPtr a -> a + off | _ -> no_addr)
+  | LLoad_global (_, gi) | LStore_global (gi, _) -> st.gaddrs.(gi)
+  | _ -> no_addr
 
 let mem_fail_to_crash op = function
   | Memory.Fail_segv -> crash Segfault op
@@ -511,13 +505,6 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
       in
       ignore (Memory.store st.mem addr v))
     low.L.l_globals;
-  (* [pre_ctx] name lookups resolve through the lowering tables; the
-     observable answers are those of the nominal engine. *)
-  let global_addr g =
-    match Hashtbl.find_opt low.L.l_global_index g with
-    | Some gi -> Some st.gaddrs.(gi)
-    | None -> None
-  in
   let steps = ref 0 in
   let finish outcome =
     {
@@ -615,34 +602,18 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
         (match t.status with
          | Blocked_lock _ | Blocked_join _ -> t.status <- Runnable
          | _ -> ());
-        (match current_linstr t with
-         | None ->
+        (match t.frames with
+         | [] ->
            t.status <- Finished;
            st.elig_dirty <- true
-         | Some li -> (
+         | fr :: _ -> (
+           let li = fr.lf.L.lf_blocks.(fr.blk).(fr.idx) in
            incr steps;
            st.counters.instrs <- st.counters.instrs + 1;
            if st.record_gt then
              st.gt_executed <- (tid, li.L.li_iid) :: st.gt_executed;
-           if st.hooks.pre_instr != ignore_pre_instr then begin
-             let fr = frame_of t in
-             let ctx =
-               {
-                 ctx_tid = tid;
-                 ctx_instr = li.L.li_instr;
-                 read_reg =
-                   (fun r ->
-                     match Hashtbl.find_opt fr.lf.L.lf_slots r with
-                     | Some s ->
-                       let v = fr.regs.(s) in
-                       if v == unbound then None else Some v
-                     | None -> None);
-                 global_addr;
-               }
-             in
-             st.hooks.pre_instr ctx
-           end;
-           st.hooks.step ~tid ~instr:li.L.li_instr;
+           st.hooks.pre_instr ~tid ~instr:li.L.li_instr
+             ~addr:(pre_addr st fr li);
            try exec_instr st t li
            with Crash (kind, msg) ->
              raise

@@ -10,30 +10,33 @@ open Ir.Types
 
 type rw = Read | Write
 
-(** What an instrumentation hook may inspect at a pre-instruction
-    program point — enough to arm a watchpoint on the address the
-    upcoming access will touch. *)
-type pre_ctx = {
-  ctx_tid : int;
-  ctx_instr : instr;
-  read_reg : string -> Value.t option;
-  global_addr : string -> int option;
-}
+(** The [addr] a [pre_instr] hook receives when the upcoming
+    instruction has no resolvable address: it is not a load or store,
+    or its base operand does not hold a pointer.  It is [min_int]:
+    [Memory] hands out small positive addresses, so only a pointer
+    offset by about [min_int] could collide, and accessing it
+    segfaults. *)
+val no_addr : int
 
 (** Observation callbacks, all no-ops by default ({!no_hooks}).
-    [pre_instr] fires before every instruction (including retries of
-    blocked lock/join); [mem_access] on every shared load/store;
-    [branch] on conditional branches with the taken direction; [ret]
-    on returns with the caller resume point ([None] at thread exit);
-    [step] once per executed instruction; [sched] with each scheduling
-    choice. *)
+
+    - [pre_instr] fires before every executed instruction, retries of a
+      blocked lock/join included.  [addr] is the address the
+      instruction is about to touch, enough to arm a watchpoint at the
+      pre-point: for a [Load]/[Store] whose base register holds
+      [VPtr a] it is [a + off], for [Load_global]/[Store_global] the
+      global's address, and {!no_addr} otherwise.
+    - [mem_access] fires on every shared load/store.
+    - [branch] fires on conditional branches with the taken direction.
+    - [ret] fires on returns with the caller's resume point ([None] at
+      thread exit).
+    - [sched] fires with each scheduling choice. *)
 type hooks = {
-  mutable pre_instr : pre_ctx -> unit;
+  mutable pre_instr : tid:int -> instr:instr -> addr:int -> unit;
   mutable mem_access :
     tid:int -> instr:instr -> addr:int -> rw:rw -> value:Value.t -> unit;
   mutable branch : tid:int -> instr:instr -> taken:bool -> unit;
   mutable ret : tid:int -> instr:instr -> resume:iid option -> unit;
-  mutable step : tid:int -> instr:instr -> unit;
   mutable sched : choice:int -> unit;
 }
 

@@ -6,15 +6,16 @@
    module preserves the pre-lowering semantics verbatim so the
    differential test (test/test_differential.ml) can prove the two
    engines bit-identical — outcomes, outputs, access sequences, RNG
-   draws, scheduler choices, hook firings and counters — on every
+   draws, scheduler choices, hook firings (with the address each
+   [pre_instr] call hands out) and counters — on every
    Bugbase program and on randomly generated ones.  It is not used on
    any production path. *)
 
 open Ir.Types
 open Value
 open Interp
-(* [Interp] provides the shared observable types: [rw], [pre_ctx],
-   [hooks], [workload], [access], [outcome], [result]. *)
+(* [Interp] provides the shared observable types and constants: [rw],
+   [no_addr], [hooks], [workload], [access], [outcome], [result]. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -129,6 +130,19 @@ let resolve_addr base_v offset =
   | VPtr a -> a + offset
   | VNull -> crash Segfault "null dereference"
   | v -> crash (Type_error "dereference of non-pointer") (Value.to_string v)
+
+(* The address [i] is about to touch, for the [pre_instr] hook: the
+   reference rule the lowered engine must reproduce (see
+   [Interp.no_addr]). *)
+let pre_addr st fr i =
+  match i.kind with
+  | Load (_, Reg r, off) | Store (Reg r, off, _) -> (
+    match Hashtbl.find_opt fr.regs r with
+    | Some (VPtr a) -> a + off
+    | _ -> no_addr)
+  | Load_global (_, g) | Store_global (g, _) -> (
+    match Hashtbl.find_opt st.globals g with Some a -> a | None -> no_addr)
+  | _ -> no_addr
 
 let mem_fail_to_crash op = function
   | Memory.Fail_segv -> crash Segfault op
@@ -501,17 +515,7 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
            incr steps;
            st.counters.instrs <- st.counters.instrs + 1;
            if st.record_gt then st.gt_executed <- (tid, i.iid) :: st.gt_executed;
-           let fr = frame_of t in
-           let ctx =
-             {
-               ctx_tid = tid;
-               ctx_instr = i;
-               read_reg = (fun r -> Hashtbl.find_opt fr.regs r);
-               global_addr = (fun g -> Hashtbl.find_opt st.globals g);
-             }
-           in
-           st.hooks.pre_instr ctx;
-           st.hooks.step ~tid ~instr:i;
+           st.hooks.pre_instr ~tid ~instr:i ~addr:(pre_addr st (frame_of t) i);
            try exec_instr st t i
            with Crash (kind, msg) ->
              raise

@@ -23,17 +23,12 @@ let row_for (bug : Bugbase.Common.t) =
     rr_extra := !rr_extra +. Exec.Cost.rr_extra_cycles rec_.rec_counters
   done;
   for c = 0 to clients_per_program - 1 do
-    let w = bug.workload_of c in
-    let counters = Exec.Cost.create () in
-    let pt = Hw.Pt.create counters in
-    let hooks = Instrument.Runtime.full_tracing_hooks ~pt in
-    let _ =
-      Exec.Interp.run ~hooks ~counters ~preempt_prob:bug.preempt_prob
-        bug.program w
+    let result, _ =
+      Baseline.Softpt.full_pt ~preempt_prob:bug.preempt_prob bug.program
+        (bug.workload_of c)
     in
-    Hw.Pt.finish pt;
-    pt_base := !pt_base +. Exec.Cost.base_cycles counters;
-    pt_extra := !pt_extra +. Exec.Cost.pt_extra_cycles counters
+    pt_base := !pt_base +. Exec.Cost.base_cycles result.counters;
+    pt_extra := !pt_extra +. Exec.Cost.pt_extra_cycles result.counters
   done;
   let rr_pct = if !rr_base > 0.0 then 100.0 *. !rr_extra /. !rr_base else 0.0 in
   let pt_pct = if !pt_base > 0.0 then 100.0 *. !pt_extra /. !pt_base else 0.0 in

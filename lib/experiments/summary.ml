@@ -50,20 +50,12 @@ let sw_trace_overheads () =
     (fun (bug : Bugbase.Common.t) ->
       let total = ref 0.0 and base = ref 0.0 in
       for c = 0 to 7 do
-        let counters = Exec.Cost.create () in
-        let hooks = Exec.Interp.no_hooks () in
-        hooks.step <-
-          (fun ~tid:_ ~instr:_ ->
-            counters.sw_trace_events <- counters.sw_trace_events + 1);
-        hooks.branch <-
-          (fun ~tid:_ ~instr:_ ~taken:_ ->
-            counters.sw_trace_events <- counters.sw_trace_events + 4);
-        let _ =
-          Exec.Interp.run ~hooks ~counters ~preempt_prob:bug.preempt_prob
+        let result, _ =
+          Baseline.Softpt.full_trace ~preempt_prob:bug.preempt_prob
             bug.program (bug.workload_of c)
         in
-        total := !total +. Exec.Cost.sw_trace_extra_cycles counters;
-        base := !base +. Exec.Cost.base_cycles counters
+        total := !total +. Exec.Cost.sw_trace_extra_cycles result.counters;
+        base := !base +. Exec.Cost.base_cycles result.counters
       done;
       if !base > 0.0 then 100.0 *. !total /. !base else 0.0)
     Bugbase.Registry.all

@@ -43,8 +43,6 @@ type packet =
   | TIP of iid        (** return target; 0 = thread exit *)
   | PTW of ptw        (** extension: a data packet (address + value + TSC) *)
 
-val packet_bytes : packet -> int
-
 type recorder
 
 (** [create counters] — trace volume and toggles account into
@@ -108,10 +106,6 @@ val error_to_string : error -> string
     delta-encode against the previous PTW in the stream. *)
 module Wire : sig
   val magic : int
-
-  (** [encode_into b ~count packet_at] appends the ring encoding of
-      packets [packet_at 0 .. packet_at (count-1)] to [b]. *)
-  val encode_into : Buffer.t -> count:int -> (int -> packet) -> unit
 
   val encode : packet list -> string
 

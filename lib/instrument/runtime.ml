@@ -1,22 +1,9 @@
 (* Assemble interpreter hooks that interpret an instrumentation plan:
    toggling the PT recorder, arming watchpoints at access pre-points
-   (evaluating the address the upcoming instruction will touch), and
-   routing memory accesses through the watchpoint unit. *)
+   (on the address the engine says the upcoming instruction will
+   touch), and routing memory accesses through the watchpoint unit. *)
 
 open Ir.Types
-
-(* Address the instruction at this pre-point is about to access. *)
-let addr_of_access (ctx : Exec.Interp.pre_ctx) =
-  match ctx.ctx_instr.kind with
-  | Load (_, base, off) | Store (base, off, _) -> (
-    match base with
-    | Reg r -> (
-      match ctx.read_reg r with
-      | Some (Exec.Value.VPtr a) -> Some (a + off)
-      | _ -> None)
-    | _ -> None)
-  | Load_global (_, g) | Store_global (g, _) -> ctx.global_addr g
-  | _ -> None
 
 (* [wp_allowed] restricts which plan watchpoint targets this particular
    client arms: the cooperative rotation of §3.2.3 when the tracked
@@ -25,20 +12,18 @@ let hooks ~data_via_pt ~(plan : Plan.t) ~(pt : Hw.Pt.recorder)
     ~(wp : Hw.Watchpoint.t) ~wp_allowed =
   let h = Exec.Interp.no_hooks () in
   h.pre_instr <-
-    (fun ctx ->
-      let iid = ctx.ctx_instr.iid in
+    (fun ~tid ~instr ~addr ->
+      let iid = instr.iid in
       List.iter
         (fun (a : Plan.action) ->
           match a with
-          | Pt_stop -> Hw.Pt.disable pt ~tid:ctx.ctx_tid ~pc:iid
-          | Pt_start -> Hw.Pt.enable pt ~tid:ctx.ctx_tid ~pc:iid
+          | Pt_stop -> Hw.Pt.disable pt ~tid ~pc:iid
+          | Pt_start -> Hw.Pt.enable pt ~tid ~pc:iid
           | Wp_arm ->
-            if List.mem iid wp_allowed then (
-              match addr_of_access ctx with
-              | Some addr -> ignore (Hw.Watchpoint.arm wp addr)
-              | None -> ()))
+            if addr <> Exec.Interp.no_addr && List.mem iid wp_allowed then
+              ignore (Hw.Watchpoint.arm wp addr))
         (Plan.actions_at plan iid);
-      Hw.Pt.note_pc pt ~tid:ctx.ctx_tid ~pc:iid);
+      Hw.Pt.note_pc pt ~tid ~pc:iid);
   h.mem_access <-
     (fun ~tid ~instr ~addr ~rw ~value ->
       (* PTWRITE extension: instrumented accesses emit data packets in
@@ -56,10 +41,9 @@ let hooks ~data_via_pt ~(plan : Plan.t) ~(pt : Hw.Pt.recorder)
 let full_tracing_hooks ~(pt : Hw.Pt.recorder) =
   let h = Exec.Interp.no_hooks () in
   h.pre_instr <-
-    (fun ctx ->
-      if not (Hw.Pt.enabled pt ctx.ctx_tid) then
-        Hw.Pt.enable pt ~tid:ctx.ctx_tid ~pc:ctx.ctx_instr.iid;
-      Hw.Pt.note_pc pt ~tid:ctx.ctx_tid ~pc:ctx.ctx_instr.iid);
+    (fun ~tid ~instr ~addr:_ ->
+      if not (Hw.Pt.enabled pt tid) then Hw.Pt.enable pt ~tid ~pc:instr.iid;
+      Hw.Pt.note_pc pt ~tid ~pc:instr.iid);
   h.branch <- (fun ~tid ~instr:_ ~taken -> Hw.Pt.on_branch pt ~tid ~taken);
   h.ret <- (fun ~tid ~instr:_ ~resume -> Hw.Pt.on_ret pt ~tid ~resume);
   h

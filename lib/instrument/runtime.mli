@@ -2,10 +2,6 @@
     the PT recorder, arming watchpoints at access pre-points, and
     routing shared accesses through the watchpoint unit. *)
 
-(** Address the instruction at this pre-point is about to access, when
-    resolvable (its base register holds a pointer / the global exists). *)
-val addr_of_access : Exec.Interp.pre_ctx -> int option
-
 (** [hooks ~plan ~pt ~wp ~wp_allowed] interprets [plan].  [wp_allowed]
     restricts which watchpoint targets this client arms — the
     cooperative rotation of §3.2.3 when the tracked slice touches more

@@ -97,7 +97,6 @@ type lfunc = {
   lf_params : int array;        (* parameter slots, in declaration order *)
   lf_nslots : int;
   lf_slot_names : string array; (* slot -> register name (error messages) *)
-  lf_slots : (string, int) Hashtbl.t; (* register name -> slot *)
   lf_blocks : linstr array array;     (* lf_blocks.(0) is the entry *)
 }
 
@@ -117,7 +116,6 @@ type t = {
   l_func_index : (string, int) Hashtbl.t;
   l_main : int;
   l_globals : global array;  (* in [program.globals] order *)
-  l_global_index : (string, int) Hashtbl.t;
   l_dsteps : dstep array;    (* indexed by iid; slot 0 unused *)
   l_instrs : instr array;    (* indexed by iid; original instructions *)
 }
@@ -245,7 +243,6 @@ let lower_func ~func_index ~global_index fidx (f : func) =
     lf_params = params;
     lf_nslots = !nslots;
     lf_slot_names = Array.of_list (List.rev !names);
-    lf_slots = slots;
     lf_blocks = blocks;
   }
 
@@ -312,7 +309,6 @@ let lower (p : program) : t =
     l_func_index = func_index;
     l_main = main;
     l_globals = globals;
-    l_global_index = global_index;
     l_dsteps = build_dsteps p;
     l_instrs = instrs;
   }

@@ -82,7 +82,6 @@ type lfunc = {
   lf_params : int array;        (** parameter slots, in declaration order *)
   lf_nslots : int;
   lf_slot_names : string array; (** slot -> register name *)
-  lf_slots : (string, int) Hashtbl.t;  (** register name -> slot *)
   lf_blocks : linstr array array;      (** [lf_blocks.(0)] is the entry *)
 }
 
@@ -103,7 +102,6 @@ type t = {
   l_func_index : (string, int) Hashtbl.t;
   l_main : int;
   l_globals : global array;  (** in [program.globals] order *)
-  l_global_index : (string, int) Hashtbl.t;
   l_dsteps : dstep array;    (** indexed by iid; slot 0 unused *)
   l_instrs : instr array;    (** indexed by iid; original instructions *)
 }

@@ -6,10 +6,13 @@
    optimisation if the two are bit-identical on every observable:
    outcome (including the full failure report), printed output, step
    count, the ground-truth access and execution logs, every cost
-   counter, and the PT packet streams produced under full tracing.
-   This suite asserts exactly that over the whole Bugbase -- whose
-   entries exercise every failure kind, locks, spawns and preemption --
-   plus generated random programs, across several scheduling seeds. *)
+   counter, every [pre_instr] call with the address it hands out, the
+   PT packet streams produced under full tracing, and the traps and
+   packets of the client runtime at a Bugbase bug's first-iteration
+   plan.  This suite asserts exactly that over the whole Bugbase --
+   whose entries exercise every failure kind, locks, spawns and
+   preemption -- plus generated random programs, across several
+   scheduling seeds. *)
 
 module I = Exec.Interp
 
@@ -33,18 +36,40 @@ let outcome_str = function
   | I.Success -> "success"
   | I.Failed r -> Exec.Failure.report_to_string r
 
+(* Which hooks a differential run installs: none, full PT tracing, or
+   the client runtime interpreting an instrumentation plan (PT toggles
+   and watchpoint arms at pre-points, every plan target allowed). *)
+type tracing = Bare | Full | Plan of Instrument.Plan.t
+
+(* First position where two [pre_instr] streams differ, if any. *)
+let rec diverge k = function
+  | x :: xs, y :: ys -> if x = y then diverge (k + 1) (xs, ys) else Some k
+  | [], [] -> None
+  | _ -> Some k
+
 (* Run [program] on both engines with identical parameters and assert
-   every observable equal.  When [trace] is set, both runs record full
-   PT streams and those must match packet for packet too. *)
-let check_engines ?(trace = false) name ?preempt_prob program workload =
+   every observable equal, including every [pre_instr] call as
+   (tid, iid, addr).  Under [Full] or [Plan] the PT packet streams must
+   match packet for packet too; under [Plan], the watchpoint traps. *)
+let check_engines ?(tracing = Bare) name ?preempt_prob program workload =
   let run engine =
     let counters = Exec.Cost.create () in
-    let pt = if trace then Some (Hw.Pt.create counters) else None in
+    let pt = if tracing = Bare then None else Some (Hw.Pt.create counters) in
+    let wp = Hw.Watchpoint.create counters in
     let hooks =
-      match pt with
-      | Some pt -> Instrument.Runtime.full_tracing_hooks ~pt
-      | None -> I.no_hooks ()
+      match (tracing, pt) with
+      | Full, Some pt -> Instrument.Runtime.full_tracing_hooks ~pt
+      | Plan plan, Some pt ->
+        Instrument.Runtime.hooks ~data_via_pt:false ~plan ~pt ~wp
+          ~wp_allowed:plan.Instrument.Plan.wp_targets
+      | _ -> I.no_hooks ()
     in
+    let pre = ref [] in
+    let listen = hooks.pre_instr in
+    hooks.pre_instr <-
+      (fun ~tid ~instr ~addr ->
+        pre := (tid, instr.Ir.Types.iid, addr) :: !pre;
+        listen ~tid ~instr ~addr);
     let res =
       engine ~hooks ~counters ?preempt_prob ~record_gt:true program workload
     in
@@ -55,13 +80,13 @@ let check_engines ?(trace = false) name ?preempt_prob program workload =
       | Some pt ->
         List.map (fun tid -> (tid, Hw.Pt.packets_of pt tid)) (Hw.Pt.all_tids pt)
     in
-    (res, counters, packets)
+    (res, counters, List.rev !pre, packets, Hw.Watchpoint.traps wp)
   in
-  let r_ref, c_ref, p_ref =
+  let r_ref, c_ref, pre_ref, p_ref, w_ref =
     run (fun ~hooks ~counters ?preempt_prob ~record_gt p w ->
         Exec.Refinterp.run ~hooks ~counters ?preempt_prob ~record_gt p w)
   in
-  let r_low, c_low, p_low =
+  let r_low, c_low, pre_low, p_low, w_low =
     run (fun ~hooks ~counters ?preempt_prob ~record_gt p w ->
         I.run ~hooks ~counters ?preempt_prob ~record_gt p w)
   in
@@ -83,11 +108,12 @@ let check_engines ?(trace = false) name ?preempt_prob program workload =
     (name ^ ": executed log")
     true
     (r_ref.I.executed = r_low.I.executed);
+  (match diverge 0 (pre_ref, pre_low) with
+   | None -> ()
+   | Some k -> Alcotest.failf "%s: pre_instr streams diverge at call %d" name k);
   check_counters name c_ref c_low;
-  if trace then
-    Alcotest.(check bool)
-      (name ^ ": PT packet streams")
-      true (p_ref = p_low)
+  Alcotest.(check bool) (name ^ ": PT packet streams") true (p_ref = p_low);
+  Alcotest.(check bool) (name ^ ": watchpoint traps") true (w_ref = w_low)
 
 (* ------------------------------------------------------------------ *)
 (* Every Bugbase entry, several seeds, bare and under full tracing. *)
@@ -104,10 +130,60 @@ let bugbase_cases =
               let name = Printf.sprintf "%s/seed %d" bug.name seed in
               let w = bug.workload_of seed in
               check_engines name ~preempt_prob:bug.preempt_prob bug.program w;
-              check_engines ~trace:true (name ^ "/traced")
+              check_engines ~tracing:Full (name ^ "/traced")
                 ~preempt_prob:bug.preempt_prob bug.program w)
             seeds))
     Bugbase.Registry.all
+
+(* ------------------------------------------------------------------ *)
+(* Every Bugbase entry under the client runtime's hooks at the
+   first-iteration plan: the watchpoint arms depend on the address each
+   engine hands [pre_instr], so the traps and counters pin it. *)
+
+let first_plan (bug : Bugbase.Common.t) =
+  let _, failure = Option.get (Bugbase.Common.find_target_failure bug) in
+  let slice = Slicing.Slicer.compute bug.program failure in
+  Instrument.Place.compute bug.program
+    (Slicing.Slicer.take slice Gist.Config.default.sigma0)
+
+let plan_cases =
+  List.map
+    (fun (bug : Bugbase.Common.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s under its first-iteration plan" bug.name)
+        `Quick
+        (fun () ->
+          let plan = first_plan bug in
+          List.iter
+            (fun seed ->
+              check_engines ~tracing:(Plan plan)
+                (Printf.sprintf "%s/seed %d/plan" bug.name seed)
+                ~preempt_prob:bug.preempt_prob bug.program
+                (bug.workload_of seed))
+            seeds))
+    Bugbase.Registry.all
+  @ [
+      (* Not every first-iteration plan arms a watchpoint (a tracked
+         lock or assert has no address), so check that enough of them
+         do for the cases above to pin the armed address. *)
+      Alcotest.test_case "first-iteration plans arm and trap watchpoints"
+        `Quick (fun () ->
+          let armed =
+            List.filter
+              (fun (bug : Bugbase.Common.t) ->
+                let plan = first_plan bug in
+                let r =
+                  Gist.Client.run_one ~preempt_prob:bug.preempt_prob ~plan
+                    ~wp_allowed:plan.Instrument.Plan.wp_targets bug.program
+                    (bug.workload_of 0)
+                in
+                r.r_counters.wp_arms > 0 && r.r_counters.wp_traps > 0)
+              Bugbase.Registry.all
+          in
+          Alcotest.(check bool)
+            "at least 4 bugs arm and trap" true
+            (List.length armed >= 4));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Generated random programs: single-threaded and racy two-worker. *)
@@ -133,7 +209,7 @@ let gen_cases =
             let program = Fuzz.Gen.random_threaded pseed in
             List.iter
               (fun seed ->
-                check_engines ~trace:true
+                check_engines ~tracing:Full
                   (Printf.sprintf "gen-mt %d/seed %d" pseed seed)
                   program
                   (I.workload ~args:[ Exec.Value.VInt 3 ] seed))
@@ -340,6 +416,7 @@ let () =
   Alcotest.run "differential"
     [
       ("bugbase", bugbase_cases);
+      ("plan", plan_cases);
       ("generated", gen_cases);
       ("lower-errors", lower_errors);
     ]

@@ -306,6 +306,39 @@ let forced_schedule =
         Alcotest.(check bool) "same execution" true (a.I.executed = b.I.executed));
   ]
 
+(* The per-step observation hook must cost nothing beyond the call: a
+   listening [pre_instr] allocates the same minor words as none at all,
+   up to a small constant that does not grow with the step count. *)
+let hook_allocation =
+  [
+    Alcotest.test_case "a pre_instr listener allocates nothing per step"
+      `Quick (fun () ->
+        List.iter
+          (fun (bug : Bugbase.Common.t) ->
+            let w = bug.workload_of 0 in
+            let words hooks =
+              (* The first run lowers the program into the cache. *)
+              ignore (I.run ~hooks ~preempt_prob:bug.preempt_prob bug.program w);
+              let before = Gc.minor_words () in
+              let res =
+                I.run ~hooks ~preempt_prob:bug.preempt_prob bug.program w
+              in
+              (Gc.minor_words () -. before, res.I.steps)
+            in
+            let calls = ref 0 in
+            let listening = I.no_hooks () in
+            listening.pre_instr <- (fun ~tid:_ ~instr:_ ~addr:_ -> incr calls);
+            let bare, steps = words (I.no_hooks ()) in
+            let heard, _ = words listening in
+            Alcotest.(check int) (bug.name ^ ": one call per step")
+              (2 * steps) !calls;
+            if Float.abs (heard -. bare) > 16.0 then
+              Alcotest.failf "%s: %.0f words with a listener, %.0f without \
+                              (%d steps)"
+                bug.name heard bare steps)
+          Bugbase.Registry.all);
+  ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -317,4 +350,5 @@ let () =
       ("builtins", builtins);
       ("cost-model", cost_model);
       ("forced-schedule", forced_schedule);
+      ("hook-allocation", hook_allocation);
     ]
