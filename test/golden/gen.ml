@@ -1,7 +1,8 @@
-(* Write every golden fixture's current bytes to DIR/<name>.bin and the
-   golden diagnosis ledger to DIR/diagnoses.tsv; with NAMEs after DIR,
-   write only those ("diagnoses" names the ledger).  The ledger
-   replays the corpus reproducers from test/corpus. *)
+(* Write every golden fixture's current bytes to DIR/<name>.bin, the
+   golden diagnosis ledger to DIR/diagnoses.tsv and the cost ledger to
+   DIR/costs.tsv; with NAMEs after DIR, write only those ("diagnoses"
+   and "costs" name the ledgers).  The diagnosis ledger replays the
+   corpus reproducers from test/corpus. *)
 
 let write dir file contents =
   let oc = open_out_bin (Filename.concat dir file) in
@@ -18,4 +19,6 @@ let () =
   if wanted "diagnoses" then
     write dir "diagnoses.tsv"
       (Tsupport.Diagnoses.to_string
-         (Tsupport.Diagnoses.ledger ~corpus:"test/corpus"))
+         (Tsupport.Diagnoses.ledger ~corpus:"test/corpus"));
+  if wanted "costs" then
+    write dir "costs.tsv" (Tsupport.Costs.to_string (Tsupport.Costs.ledger ()))

@@ -5,7 +5,8 @@
    encoder must still reproduce them, and decoding a fixture then
    encoding the result must give the fixture back, byte for byte; see
    test/support/golden.ml.  test/golden/diagnoses.tsv pins the
-   diagnoses of a fixed case set the same way. *)
+   diagnoses of a fixed case set the same way, and test/golden/costs.tsv
+   the allocation and bytes of each Bugbase bug's fleet slots. *)
 
 module G = Tsupport.Golden
 module Svc = Serve.Service
@@ -95,6 +96,29 @@ let ledger =
         in
         first_difference
           (golden, Tsupport.Diagnoses.ledger ~corpus:"corpus"));
+  ]
+
+(* The cost ledger: allocation, packets and bytes of each Bugbase bug's
+   first-iteration slots, recomputed by exact equality (see
+   test/support/costs.ml). *)
+let costs =
+  [
+    Alcotest.test_case "every slot cost matches the cost ledger" `Quick
+      (fun () ->
+        let golden =
+          String.split_on_char '\n' (G.read_file "golden/costs.tsv")
+          |> List.filter (fun l -> l <> "")
+        in
+        let rec first_difference n = function
+          | g :: gs, l :: ls when g = l -> first_difference (n + 1) (gs, ls)
+          | g :: _, l :: _ ->
+            Alcotest.failf "costs.tsv line %d: %s, now: %s" n g l
+          | g :: _, [] ->
+            Alcotest.failf "costs.tsv line %d no longer produced: %s" n g
+          | [], l :: _ -> Alcotest.failf "line missing from costs.tsv: %s" l
+          | [], [] -> ()
+        in
+        first_difference 1 (golden, Tsupport.Costs.ledger ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -621,6 +645,7 @@ let () =
       ("golden", encoders_reproduce);
       ("golden-roundtrip", roundtrips);
       ("golden-diagnoses", ledger);
+      ("golden-costs", costs);
       ("envelope", envelope_tests);
       ("snapshot", snapshot_tests);
       ("journal", journal_tests);
