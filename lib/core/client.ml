@@ -162,7 +162,3 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
     r_steps = result.steps;
     r_pt_errors = pt_errors;
   }
-
-(* All statements this run is known to have executed. *)
-let executed_set r =
-  List.concat_map snd r.r_executed |> List.sort_uniq compare

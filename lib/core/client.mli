@@ -51,6 +51,3 @@ val run_one :
   program ->
   Exec.Interp.workload ->
   report
-
-(** All statements this run is known to have executed (deduplicated). *)
-val executed_set : report -> iid list

@@ -128,16 +128,11 @@ let frame_of t =
   | f :: _ -> f
   | [] -> crash (Type_error "no frame") (Printf.sprintf "thread %d" t.tid)
 
-let current_linstr t =
-  match t.frames with
-  | [] -> None
-  | f :: _ -> Some f.lf.L.lf_blocks.(f.blk).(f.idx)
-
 let stack_trace t = List.map (fun f -> f.lf.L.lf_name) t.frames
 
 let eval_operand fr (op : L.lop) =
   match op with
-  | LImm n -> VInt n
+  | LImm n -> Value.int n
   | LStr s -> VStr s
   | LNull -> VNull
   | LReg s ->
@@ -152,8 +147,10 @@ let as_int = function
   | VNull -> 0
   | v -> crash (Type_error "expected int") (Value.to_string v)
 
+(* Integer results go through [Value.int]: a small one is shared, not
+   allocated. *)
 let eval_binop op a b =
-  let bool_v c = VInt (if c then 1 else 0) in
+  let bool_v = Value.of_bool in
   match (op, a, b) with
   | Eq, _, _ -> bool_v (Value.equal a b)
   | Ne, _, _ -> bool_v (not (Value.equal a b))
@@ -161,7 +158,7 @@ let eval_binop op a b =
   | Or, _, _ -> bool_v (truthy a || truthy b)
   | Add, VPtr p, VInt n | Add, VInt n, VPtr p -> VPtr (p + n)
   | Sub, VPtr p, VInt n -> VPtr (p - n)
-  | Sub, VPtr p, VPtr q -> VInt (p - q)
+  | Sub, VPtr p, VPtr q -> Value.int (p - q)
   | Add, VStr s, VStr u -> VStr (s ^ u)
   | (Lt | Le | Gt | Ge), VPtr p, VPtr q ->
     let c = compare p q in
@@ -172,11 +169,11 @@ let eval_binop op a b =
   | _ ->
     let x = as_int a and y = as_int b in
     (match op with
-     | Add -> VInt (x + y)
-     | Sub -> VInt (x - y)
-     | Mul -> VInt (x * y)
-     | Div -> if y = 0 then crash Div_by_zero "" else VInt (x / y)
-     | Mod -> if y = 0 then crash Div_by_zero "" else VInt (x mod y)
+     | Add -> Value.int (x + y)
+     | Sub -> Value.int (x - y)
+     | Mul -> Value.int (x * y)
+     | Div -> if y = 0 then crash Div_by_zero "" else Value.int (x / y)
+     | Mod -> if y = 0 then crash Div_by_zero "" else Value.int (x mod y)
      | Lt -> bool_v (x < y)
      | Le -> bool_v (x <= y)
      | Gt -> bool_v (x > y)
@@ -187,7 +184,7 @@ let eval_expr fr (e : L.lexpr) =
   match e with
   | LBin (op, a, b) -> eval_binop op (eval_operand fr a) (eval_operand fr b)
   | LMov a -> eval_operand fr a
-  | LNot a -> VInt (if truthy (eval_operand fr a) then 0 else 1)
+  | LNot a -> Value.of_bool (not (truthy (eval_operand fr a)))
 
 (* Evaluate an argument vector left to right (the order the nominal
    engine's [List.map] used, which fixes *which* crash fires first). *)
@@ -235,15 +232,15 @@ let record_access st t (li : L.linstr) addr rw value =
 
 let do_load st t li addr =
   match Memory.load st.mem addr with
-  | Error e -> mem_fail_to_crash "load" e
-  | Ok v ->
+  | exception Memory.Fault e -> mem_fail_to_crash "load" e
+  | v ->
     record_access st t li addr Read v;
     v
 
 let do_store st t li addr v =
   match Memory.store st.mem addr v with
-  | Error e -> mem_fail_to_crash "store" e
-  | Ok () -> record_access st t li addr Write v
+  | exception Memory.Fault e -> mem_fail_to_crash "store" e
+  | () -> record_access st t li addr Write v
 
 (* Fresh callee frame with [values] bound to the parameter slots.
    Duplicate parameter names share a slot, so the last binding wins —
@@ -306,47 +303,46 @@ let do_builtin st fr dst (op : L.builtin_op) name (args : Value.t array) =
    retries them when they become eligible again. *)
 let exec_instr st t (li : L.linstr) =
   let fr = frame_of t in
-  let advance () = fr.idx <- fr.idx + 1 in
   match li.L.li_kind with
   | LAssign (s, e) ->
     fr.regs.(s) <- eval_expr fr e;
-    advance ()
+    fr.idx <- fr.idx + 1
   | LLoad (s, base, off) ->
     let addr = resolve_addr (eval_operand fr base) off in
     fr.regs.(s) <- do_load st t li addr;
-    advance ()
+    fr.idx <- fr.idx + 1
   | LStore (base, off, v) ->
     let addr = resolve_addr (eval_operand fr base) off in
     do_store st t li addr (eval_operand fr v);
-    advance ()
+    fr.idx <- fr.idx + 1
   | LLoad_global (s, gi) ->
     let addr = st.gaddrs.(gi) in
     fr.regs.(s) <- do_load st t li addr;
-    advance ()
+    fr.idx <- fr.idx + 1
   | LStore_global (gi, v) ->
     let addr = st.gaddrs.(gi) in
     do_store st t li addr (eval_operand fr v);
-    advance ()
+    fr.idx <- fr.idx + 1
   | LMalloc (s, n) ->
     fr.regs.(s) <- VPtr (Memory.alloc st.mem n);
-    advance ()
+    fr.idx <- fr.idx + 1
   | LFree p -> (
     match eval_operand fr p with
     | VPtr base -> (
       match Memory.free st.mem base with
-      | Error e -> mem_fail_to_crash "free" e
-      | Ok () -> advance ())
-    | VNull -> advance () (* free(NULL) is a no-op, as in C *)
+      | exception Memory.Fault e -> mem_fail_to_crash "free" e
+      | () -> fr.idx <- fr.idx + 1)
+    | VNull -> fr.idx <- fr.idx + 1 (* free(NULL) is a no-op, as in C *)
     | v -> crash (Type_error "free of non-pointer") (Value.to_string v))
   | LCall (dst, fidx, args) ->
     let values = eval_args fr args in
-    advance ();
+    fr.idx <- fr.idx + 1;
     t.frames <-
       bind_frame ~what:"calling" st.low.L.l_funcs.(fidx) values dst
       :: t.frames
   | LBuiltin (dst, op, name, args) ->
     do_builtin st fr dst op name (eval_args fr args);
-    advance ()
+    fr.idx <- fr.idx + 1
   | LJmp b ->
     fr.blk <- b;
     fr.idx <- 0
@@ -375,7 +371,7 @@ let exec_instr st t (li : L.linstr) =
     let values = eval_args fr args in
     let tid = spawn_thread st fidx values in
     fr.regs.(s) <- VTid tid;
-    advance ()
+    fr.idx <- fr.idx + 1
   | LJoin target -> (
     match eval_operand fr target with
     | VTid tid -> (
@@ -383,7 +379,7 @@ let exec_instr st t (li : L.linstr) =
       | Some th when th.status <> Finished ->
         t.status <- Blocked_join tid;
         st.elig_dirty <- true
-      | _ -> advance ())
+      | _ -> fr.idx <- fr.idx + 1)
     | v -> crash (Type_error "join of non-thread") (Value.to_string v))
   | LLock m -> (
     let addr =
@@ -402,7 +398,7 @@ let exec_instr st t (li : L.linstr) =
     | _ ->
       Hashtbl.replace st.locks addr (Some t.tid);
       st.elig_dirty <- true;
-      advance ())
+      fr.idx <- fr.idx + 1)
   | LUnlock m ->
     let addr =
       match eval_operand fr m with
@@ -415,9 +411,9 @@ let exec_instr st t (li : L.linstr) =
      | Ok () -> ());
     Hashtbl.replace st.locks addr None;
     st.elig_dirty <- true;
-    advance ()
+    fr.idx <- fr.idx + 1
   | LAssert (c, msg) ->
-    if truthy (eval_operand fr c) then advance ()
+    if truthy (eval_operand fr c) then fr.idx <- fr.idx + 1
     else crash (Assert_fail msg) msg
 
 (* ------------------------------------------------------------------ *)
@@ -463,6 +459,13 @@ let all_finished st =
 let rec array_mem x (a : int array) i =
   i < Array.length a && (Array.unsafe_get a i = x || array_mem x a (i + 1))
 
+(* The index of [x] in [a] at or after [i] ([a] holds distinct
+   tids); 0 when absent. *)
+let rec array_index x (a : int array) i =
+  if i >= Array.length a then 0
+  else if Array.unsafe_get a i = x then i
+  else array_index x a (i + 1)
+
 let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
     ?(preempt_prob = 0.35) program (w : workload) : result =
   let hooks = match hooks with Some h -> h | None -> no_hooks () in
@@ -498,12 +501,12 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
       st.gaddrs.(gi) <- addr;
       let v =
         match g.init with
-        | Imm n -> VInt n
+        | Imm n -> Value.int n
         | Str s -> VStr s
         | Null -> VNull
         | Reg _ -> invalid "global %s: register initialiser" g.gname
       in
-      ignore (Memory.store st.mem addr v))
+      Memory.store st.mem addr v)
     low.L.l_globals;
   let steps = ref 0 in
   let finish outcome =
@@ -517,7 +520,11 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
     }
   in
   let report_for t kind msg =
-    let pc = match current_linstr t with Some li -> li.L.li_iid | None -> 0 in
+    let pc =
+      match t.frames with
+      | f :: _ -> f.lf.L.lf_blocks.(f.blk).(f.idx).L.li_iid
+      | [] -> 0
+    in
     Failure.{ kind; pc; tid = t.tid; stack = stack_trace t; message = msg }
   in
   (* A malformed main invocation (arity mismatch) is a failed run, not
@@ -572,24 +579,32 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
             elig.(Rng.int st.rng (Array.length elig))
           end
           else
-            let t = st.thread_arr.(!current) in
-            let p =
-              match current_linstr t with
-              | Some li when li.L.li_yield -> 0.9
-              | Some li when li.L.li_interesting -> st.preempt_prob
-              | _ -> 0.02
-            in
             let n = Array.length elig in
-            if n > 1 && Rng.float st.rng < p then begin
+            (* The preemption draw: likelier at a yield point or an
+               interesting instruction of the current thread.  Each
+               branch passes a constant or the boxed field as is, so
+               no float is boxed per step. *)
+            let preempt =
+              n > 1
+              &&
+              match st.thread_arr.(!current).frames with
+              | f :: _ ->
+                let li = f.lf.L.lf_blocks.(f.blk).(f.idx) in
+                if li.L.li_yield then Rng.chance st.rng 0.9
+                else if li.L.li_interesting then
+                  Rng.chance st.rng st.preempt_prob
+                else Rng.chance st.rng 0.02
+              | [] -> Rng.chance st.rng 0.02
+            in
+            if preempt then begin
               (* Index into [elig] minus the current thread, without
                  materialising the filtered list: same Rng draw (bound
                  [n - 1]), same element the [List.filter]+[List.nth]
                  version picked. *)
-              let cur_at = ref 0 in
-              Array.iteri (fun i x -> if x = !current then cur_at := i) elig;
+              let cur_at = array_index !current elig 0 in
               st.counters.sched_switches <- st.counters.sched_switches + 1;
               let j = Rng.int st.rng (n - 1) in
-              elig.(if j >= !cur_at then j + 1 else j)
+              elig.(if j >= cur_at then j + 1 else j)
             end
             else !current
         in

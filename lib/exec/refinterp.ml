@@ -161,15 +161,15 @@ let record_access st t i addr rw value =
 
 let do_load st t i addr =
   match Memory.load st.mem addr with
-  | Error e -> mem_fail_to_crash "load" e
-  | Ok v ->
+  | exception Memory.Fault e -> mem_fail_to_crash "load" e
+  | v ->
     record_access st t i addr Read v;
     v
 
 let do_store st t i addr v =
   match Memory.store st.mem addr v with
-  | Error e -> mem_fail_to_crash "store" e
-  | Ok () -> record_access st t i addr Write v
+  | exception Memory.Fault e -> mem_fail_to_crash "store" e
+  | () -> record_access st t i addr Write v
 
 let spawn_thread st routine args =
   let f = Ir.Program.find_func st.program routine in
@@ -257,8 +257,8 @@ let exec_instr st t i =
     match eval_operand fr p with
     | VPtr base -> (
       match Memory.free st.mem base with
-      | Error e -> mem_fail_to_crash "free" e
-      | Ok () -> advance ())
+      | exception Memory.Fault e -> mem_fail_to_crash "free" e
+      | () -> advance ())
     | VNull -> advance () (* free(NULL) is a no-op, as in C *)
     | v -> crash (Type_error "free of non-pointer") (Value.to_string v))
   | Call (dst, callee, args) ->
@@ -416,7 +416,7 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
         | Null -> VNull
         | Reg _ -> invalid "global %s: register initialiser" g.gname
       in
-      ignore (Memory.store st.mem addr v))
+      Memory.store st.mem addr v)
     program.globals;
   let steps = ref 0 in
   let finish outcome =
@@ -489,7 +489,7 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
               | _ -> 0.02
             in
             let n = Array.length elig in
-            if n > 1 && Rng.float st.rng < p then begin
+            if n > 1 && Rng.chance st.rng p then begin
               (* Index into [elig] minus the current thread, without
                  materialising the filtered list: same Rng draw (bound
                  [n - 1]), same element the [List.filter]+[List.nth]

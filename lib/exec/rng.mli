@@ -1,6 +1,8 @@
 (** Deterministic splitmix64 generator: a whole run (scheduling
     included) is a pure function of (program, workload, seed), which
-    the record/replay baseline and the determinism tests rely on. *)
+    the record/replay baseline and the determinism tests rely on.
+    Only [next] and [float] return a boxed value; every other draw
+    allocates nothing. *)
 
 type t
 
@@ -12,5 +14,9 @@ val int : t -> int -> int
 
 (** Uniform float in [\[0, 1)]. *)
 val float : t -> float
+
+(** [chance t p] is [float t < p], drawn without boxing the float: the
+    interpreter's per-step preemption draw. *)
+val chance : t -> float -> bool
 
 val bool : t -> bool

@@ -10,6 +10,18 @@ type t =
   | VNull
   | VUnit
 
+(* Shared [VInt]s for -128..127: immediates, arithmetic and comparison
+   results are mostly small, and a shared value costs the interpreter
+   no allocation.  The table stays small because it is live for the
+   whole process. *)
+let small = Array.init 256 (fun k -> VInt (k - 128))
+
+let int n = if n >= -128 && n < 128 then Array.unsafe_get small (n + 128) else VInt n
+
+let zero = int 0
+let one = int 1
+let of_bool c = if c then one else zero
+
 let truthy = function
   | VInt 0 | VNull -> false
   | VInt _ | VPtr _ | VStr _ | VTid _ | VUnit -> true

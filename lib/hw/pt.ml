@@ -66,35 +66,59 @@ type stream = {
   mutable last_pc : int;         (* last pc seen while enabled (FUP) *)
 }
 
+(* Streams are indexed by tid (the interpreter hands out dense tids
+   from 0), so finding a thread's stream on every step is one array
+   load; slots of threads that have no stream yet hold [absent]. *)
 type recorder = {
   counters : Exec.Cost.t;
-  streams : (int, stream) Hashtbl.t;
+  mutable streams : stream array;
   mutable tsc : int; (* global timestamp counter for PTW packets *)
 }
-
-let create counters = { counters; streams = Hashtbl.create 8; tsc = 0 }
 
 (* The array slots beyond [len] need a placeholder; PGD (-1) is as good
    as any and never read. *)
 let placeholder = PGD (-1)
 
+let absent =
+  {
+    s_tid = -1;
+    enabled = false;
+    buf = [||];
+    len = 0;
+    tnt_buf = [||];
+    tnt_len = 0;
+    last_pc = -1;
+  }
+
+let create counters = { counters; streams = Array.make 8 absent; tsc = 0 }
+
+let new_stream r tid =
+  let cap = Array.length r.streams in
+  if tid >= cap then begin
+    let bigger = Array.make (max (2 * cap) (tid + 1)) absent in
+    Array.blit r.streams 0 bigger 0 cap;
+    r.streams <- bigger
+  end;
+  let s =
+    {
+      s_tid = tid;
+      enabled = false;
+      buf = Array.make 64 placeholder;
+      len = 0;
+      tnt_buf = Array.make 8 false;
+      tnt_len = 0;
+      last_pc = -1;
+    }
+  in
+  r.streams.(tid) <- s;
+  s
+
+(* A thread's stream, created on first use.  Tids are non-negative. *)
 let stream r tid =
-  match Hashtbl.find_opt r.streams tid with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        s_tid = tid;
-        enabled = false;
-        buf = Array.make 64 placeholder;
-        len = 0;
-        tnt_buf = Array.make 8 false;
-        tnt_len = 0;
-        last_pc = -1;
-      }
-    in
-    Hashtbl.replace r.streams tid s;
-    s
+  if tid >= 0 && tid < Array.length r.streams then
+    let s = Array.unsafe_get r.streams tid in
+    if s != absent then s else new_stream r tid
+  else new_stream r tid
 
 let emit r s p =
   if s.len = Array.length s.buf then begin
@@ -182,8 +206,8 @@ let on_data r ~tid ~iid ~addr ~rw ~value =
    The PGD carries -1: the decoder stops at the last packet-backed
    position, like a real decoder facing a truncated trace. *)
 let finish r =
-  Hashtbl.iter
-    (fun _ s ->
+  Array.iter
+    (fun s ->
       if s.enabled then begin
         flush_tnt r s;
         emit r s (PGD s.last_pc);
@@ -196,7 +220,9 @@ let packets_of r tid =
   Array.to_list (Array.sub s.buf 0 s.len)
 
 let all_tids r =
-  Hashtbl.fold (fun tid _ acc -> tid :: acc) r.streams [] |> List.sort compare
+  Array.fold_right
+    (fun s acc -> if s != absent then s.s_tid :: acc else acc)
+    r.streams []
 
 (* ------------------------------------------------------------------ *)
 (* Typed decode faults, shared by the byte-level ring codec below and

@@ -46,7 +46,9 @@ type packet =
 type recorder
 
 (** [create counters] — trace volume and toggles account into
-    [counters]. *)
+    [counters].  Threads are identified by non-negative tids, dense
+    from 0 as the interpreter hands them out; a thread's stream is
+    created by the first call that names it. *)
 val create : Exec.Cost.t -> recorder
 
 val enabled : recorder -> int -> bool
@@ -77,6 +79,8 @@ val on_ret : recorder -> tid:int -> resume:iid option -> unit
 val finish : recorder -> unit
 
 val packets_of : recorder -> int -> packet list
+
+(** The tids that have a stream, ascending. *)
 val all_tids : recorder -> int list
 
 (** Typed decode faults for damaged streams, shared by the byte-level

@@ -190,4 +190,4 @@ let compute ?(enable_cf = true) ?(enable_df = true) program tracked : Plan.t =
     else []
   in
   List.iter (fun iid -> Plan.add_action plan iid Plan.Wp_arm) wp_targets;
-  Plan.{ plan with wp_targets }
+  Plan.compile { plan with wp_targets }

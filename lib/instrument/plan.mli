@@ -1,7 +1,9 @@
 (** An instrumentation plan: the "binary patch" Gist ships to
-    production clients (the paper's prototype uses bsdiff patches, §4;
-    here a plan is interpreted by {!Runtime}).  Actions fire at the
-    pre-point of an instruction, just before it executes. *)
+    production clients (the paper's prototype uses bsdiff patches, §4).
+    Actions fire at the pre-point of an instruction, just before it
+    executes.  {!Place.compute} builds the action lists, then
+    {!compile}s them into the iid-indexed table {!Runtime} reads on
+    every step. *)
 
 open Ir.Types
 
@@ -14,6 +16,7 @@ type t = {
   actions : (iid, action list) Hashtbl.t;
   tracked : iid list;    (** the slice portion being monitored *)
   wp_targets : iid list; (** tracked memory accesses eligible for watchpoints *)
+  table : Bytes.t;       (** iid -> action bits, filled by {!compile} *)
 }
 
 val empty : unit -> t
@@ -22,6 +25,23 @@ val empty : unit -> t
 val add_action : t -> iid -> action -> unit
 
 val actions_at : t -> iid -> action list
+
+(** The action bits of the compiled table: [stop], [start] and [arm]
+    for the three actions, [ptw] for a [wp_targets] access (the
+    PTWRITE extension's data-packet sites). *)
+val stop : int
+val start : int
+val arm : int
+val ptw : int
+
+(** [compile t] is [t] with its table built from [actions] and
+    [wp_targets]; placement calls it once, after its last
+    {!add_action}. *)
+val compile : t -> t
+
+(** [bits t iid]: the compiled action bits at [iid], 0 outside the
+    table. *)
+val bits : t -> iid -> int
 
 (** Total number of patch points (for reporting). *)
 val n_actions : t -> int

@@ -49,13 +49,48 @@ let to_string p = Fmt.str "%a" pp p
 (* Branch predictors from decoded PT outcomes, restricted to tracked
    statements.  A branch that went both ways in one run yields both
    predictors (each is a predicate "this branch took this outcome at
-   least once in the run"). *)
+   least once in the run").
+
+   Outcomes are deduplicated in a bitset indexed by tracked position
+   (two bits each: not taken, taken), found by binary search in the
+   sorted tracked set; reading the bits in order yields the predictors
+   already sorted, with no comparison sort over the outcomes. *)
+let rec strictly_ascending = function
+  | a :: (b :: _ as tl) -> a < b && strictly_ascending tl
+  | _ -> true
+
+let rec position (a : int array) iid lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = Array.unsafe_get a mid in
+    if x = iid then mid
+    else if x < iid then position a iid (mid + 1) hi
+    else position a iid lo mid
+
 let of_branches ~tracked outcomes =
-  List.filter_map
-    (fun (iid, taken) ->
-      if List.mem iid tracked then Some (Branch_taken (iid, taken)) else None)
-    outcomes
-  |> List.sort_uniq compare
+  if outcomes = [] || tracked = [] then []
+  else begin
+    let tracked =
+      Array.of_list
+        (if strictly_ascending tracked then tracked
+         else List.sort_uniq Int.compare tracked)
+    in
+    let n = Array.length tracked in
+    let seen = Bytes.make (2 * n) '\000' in
+    List.iter
+      (fun (iid, taken) ->
+        let p = position tracked iid 0 n in
+        if p >= 0 then
+          Bytes.unsafe_set seen ((2 * p) + Bool.to_int taken) '\001')
+      outcomes;
+    let acc = ref [] in
+    for k = (2 * n) - 1 downto 0 do
+      if Bytes.unsafe_get seen k = '\001' then
+        acc := Branch_taken (tracked.(k / 2), k land 1 = 1) :: !acc
+    done;
+    !acc
+  end
 
 (* Data-value predictors from watchpoint traps. *)
 let of_values (traps : Hw.Watchpoint.trap list) =
@@ -130,8 +165,10 @@ let of_value_ranges (traps : Hw.Watchpoint.trap list) =
    the §6 range/inequality predicates (an extension over the paper's
    prototype, which "simply tracks data values themselves"). *)
 let of_run ?(ranges = false) ~tracked ~branch_outcomes ~traps () =
+  (* Each part is sorted and duplicate-free, and the parts hold
+     constructors in declaration order, so their concatenation is the
+     sorted set already. *)
   of_branches ~tracked branch_outcomes
   @ of_values traps
   @ (if ranges then of_value_ranges traps else [])
   @ of_traps traps
-  |> List.sort_uniq compare

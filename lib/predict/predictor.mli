@@ -32,7 +32,7 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Branch predictors from decoded PT outcomes, restricted to tracked
-    statements. *)
+    statements: sorted and duplicate-free. *)
 val of_branches : tracked:iid list -> (iid * bool) list -> t list
 
 (** Data-value predictors from watchpoint traps. *)

@@ -80,6 +80,107 @@ let control_flow =
         Alcotest.(check string) "hang" "hang" (failure_kind_tag res));
   ]
 
+module M = Exec.Memory
+
+(* A heap operation's answer as the result it stands for. *)
+let answer f = match f () with v -> Ok v | exception M.Fault e -> Error e
+
+(* Both engines share [Memory], so the differential suite cannot catch
+   a change in its answers: pin every one here. *)
+let memory_edges =
+  let segv = Error M.Fail_segv in
+  [
+    Alcotest.test_case "unmapped addresses are segfaults" `Quick (fun () ->
+        let m = M.create () in
+        let a = M.alloc m 2 in
+        let b = M.alloc m 1 in
+        List.iter
+          (fun (what, addr) ->
+            Alcotest.(check bool) (what ^ ": load") true
+              (answer (fun () -> M.load m addr) = segv);
+            Alcotest.(check bool) (what ^ ": store") true
+              (answer (fun () -> M.store m addr V.VNull) = segv);
+            Alcotest.(check bool) (what ^ ": check") true (M.check m addr = segv))
+          [
+            ("red zone", a + 2);
+            ("last red zone", b + 1);
+            ("below the first block", a - 1);
+            ("address 0", 0);
+            ("address 15", 15);
+            ("negative", -3);
+            ("past the heap", b + 2);
+            ("far past the heap", 1_000_000);
+          ]);
+    Alcotest.test_case "fresh cells read zero" `Quick (fun () ->
+        let m = M.create () in
+        let a = M.alloc m 0 in
+        Alcotest.(check bool) "a zero-size block has one cell" true
+          (answer (fun () -> M.load m a) = Ok (V.VInt 0));
+        Alcotest.(check bool) "then a red zone" true
+          (answer (fun () -> M.load m (a + 1)) = segv));
+    Alcotest.test_case "free needs a live block base" `Quick (fun () ->
+        let m = M.create () in
+        let a = M.alloc m 3 in
+        Alcotest.(check bool) "interior cell" true
+          (answer (fun () -> M.free m (a + 1)) = segv);
+        Alcotest.(check bool) "red zone" true
+          (answer (fun () -> M.free m (a + 3)) = segv);
+        Alcotest.(check bool) "unmapped" true
+          (answer (fun () -> M.free m 7) = segv);
+        Alcotest.(check bool) "negative" true
+          (answer (fun () -> M.free m (-1)) = segv);
+        Alcotest.(check bool) "the base" true (answer (fun () -> M.free m a) = Ok ());
+        Alcotest.(check bool) "twice" true
+          (answer (fun () -> M.free m a) = Error M.Fail_dfree);
+        Alcotest.(check bool) "interior after the free" true
+          (answer (fun () -> M.free m (a + 1)) = segv));
+    Alcotest.test_case "every cell of a freed block is use-after-free" `Quick
+      (fun () ->
+        let m = M.create () in
+        let a = M.alloc m 3 in
+        let b = M.alloc m 1 in
+        M.store m b (V.VInt 5);
+        M.free m a;
+        for k = 0 to 2 do
+          Alcotest.(check bool) "load" true
+            (answer (fun () -> M.load m (a + k)) = Error M.Fail_uaf);
+          Alcotest.(check bool) "store" true
+            (answer (fun () -> M.store m (a + k) V.VUnit) = Error M.Fail_uaf);
+          Alcotest.(check bool) "check" true (M.check m (a + k) = Error M.Fail_uaf)
+        done;
+        Alcotest.(check bool) "the neighbour survives" true
+          (answer (fun () -> M.load m b) = Ok (V.VInt 5)));
+    Alcotest.test_case "valid agrees with check" `Quick (fun () ->
+        let m = M.create () in
+        let a = M.alloc m 2 in
+        let b = M.alloc m 4 in
+        M.free m a;
+        for addr = -2 to b + 8 do
+          Alcotest.(check bool) (string_of_int addr) (M.check m addr = Ok ())
+            (M.valid m addr)
+        done);
+    Alcotest.test_case "the heap grows and keeps every value" `Quick (fun () ->
+        let m = M.create () in
+        let small = List.init 300 (fun k -> (M.alloc m 1, k)) in
+        List.iter (fun (a, k) -> M.store m a (V.VInt k)) small;
+        let big = M.alloc m 5000 in
+        M.store m (big + 4999) (V.VStr "end");
+        let after = M.alloc m 2 in
+        List.iter
+          (fun (a, k) ->
+            Alcotest.(check bool) "kept" true
+              (answer (fun () -> M.load m a) = Ok (V.VInt k)))
+          small;
+        Alcotest.(check bool) "big block's first cell" true
+          (answer (fun () -> M.load m big) = Ok (V.VInt 0));
+        Alcotest.(check bool) "big block's last cell" true
+          (answer (fun () -> M.load m (big + 4999)) = Ok (V.VStr "end"));
+        Alcotest.(check bool) "its red zone" true
+          (answer (fun () -> M.load m (big + 5000)) = segv);
+        Alcotest.(check bool) "a block after it" true
+          (answer (fun () -> M.load m after) = Ok (V.VInt 0)));
+  ]
+
 let memory =
   [
     Alcotest.test_case "null dereference is a segfault at the load" `Quick
@@ -98,19 +199,20 @@ let memory =
         Alcotest.(check string) "kind" "double-free"
           (failure_kind_tag (run double_free)));
     Alcotest.test_case "memory module unit behaviour" `Quick (fun () ->
-        let m = Exec.Memory.create () in
-        let base = Exec.Memory.alloc m 3 in
+        let m = M.create () in
+        let base = M.alloc m 3 in
         Alcotest.(check bool) "store ok" true
-          (Exec.Memory.store m (base + 2) (V.VInt 9) = Ok ());
+          (answer (fun () -> M.store m (base + 2) (V.VInt 9)) = Ok ());
         Alcotest.(check bool) "load back" true
-          (Exec.Memory.load m (base + 2) = Ok (V.VInt 9));
+          (answer (fun () -> M.load m (base + 2)) = Ok (V.VInt 9));
         Alcotest.(check bool) "red zone unmapped" true
-          (Exec.Memory.load m (base + 3) = Error Exec.Memory.Fail_segv);
-        Alcotest.(check bool) "free ok" true (Exec.Memory.free m base = Ok ());
+          (answer (fun () -> M.load m (base + 3)) = Error M.Fail_segv);
+        Alcotest.(check bool) "free ok" true
+          (answer (fun () -> M.free m base) = Ok ());
         Alcotest.(check bool) "uaf" true
-          (Exec.Memory.load m base = Error Exec.Memory.Fail_uaf);
+          (answer (fun () -> M.load m base) = Error M.Fail_uaf);
         Alcotest.(check bool) "double free" true
-          (Exec.Memory.free m base = Error Exec.Memory.Fail_dfree));
+          (answer (fun () -> M.free m base) = Error M.Fail_dfree));
     Alcotest.test_case "failure report carries the stack trace" `Quick
       (fun () ->
         match (run ~args:[ V.VStr "{}{" ] Bugbase.Curl.program).I.outcome with
@@ -306,9 +408,90 @@ let forced_schedule =
         Alcotest.(check bool) "same execution" true (a.I.executed = b.I.executed));
   ]
 
+(* Both engines share [Rng], so the differential suite cannot catch a
+   change in its sequence: pin the first splitmix64 outputs of a few
+   seeds, and [chance] against [float] on a twin generator. *)
+let rng_vectors =
+  [
+      ( 0,
+        [
+          -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+          -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+          3207296026000306913L; -4214222208109204676L; 4532161160992623299L;
+          -884877559730491226L; 7313543279846440201L; -4408136866661146890L;
+          -8781561602181964933L; -8205710985559103185L; -5382347917484077799L;
+          -8882435919750266709L;
+        ] );
+      ( 1,
+        [
+          -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+          8196980753821780235L; 8195237237126968761L; -4373826470845021568L;
+          -2262517385565684571L; -8797857673641491083L; 5266705631892356520L;
+          -3800091893662914666L; 7455107161863376737L; -7278709470210847746L;
+          8392123148533390784L; -8668512467949215094L; 8042142155559163816L;
+          3081251696030599739L;
+        ] );
+      ( 42,
+        [
+          -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+          6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+          4028864712777624925L; -3677692746721775708L; 6270620877612482005L;
+          -7037763681458882642L; 3779771651426294207L; 9094045341461139646L;
+          -8976257307478440218L; -8854191821003330121L; -6176718654468026660L;
+          3752715396868486130L;
+        ] );
+      ( (-1),
+        [
+          -1956407806741107680L; -1612297016619662647L; 4048727598324417001L;
+          7862637804313477842L; -5431262886246717010L; -3234237927366542541L;
+          -1058577943711170651L; 4638043754431676516L; -4251777345030058876L;
+          224706085343030812L; 266333147328794389L; -3569848917358912089L;
+          128728123335686875L; -2481235938269979510L; 3840741419012094145L;
+          -5985669572966075160L;
+        ] );
+      ( max_int,
+        [
+          4890637089070741670L; 1157452369933151741L; -643383930175548127L;
+          7976771587059178518L; -5092280845031213240L; -2271687024784822601L;
+          -4834145098101050242L; 571570269043650935L; 2248756305882784531L;
+          4249374333724668194L; 7127797772459821446L; 5019922818526568649L;
+          4189865611740122186L; 9187498658810167874L; -6043254574774199899L;
+          5525715937901616142L;
+        ] );
+  ]
+
+let rng =
+  [
+    Alcotest.test_case "the first 16 outputs of five seeds" `Quick (fun () ->
+        List.iter
+          (fun (seed, expected) ->
+            let g = Exec.Rng.create seed in
+            List.iteri
+              (fun k want ->
+                Alcotest.(check int64)
+                  (Printf.sprintf "seed %d, output %d" seed k)
+                  want (Exec.Rng.next g))
+              expected)
+          rng_vectors);
+    Alcotest.test_case "chance t p is float t < p" `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let a = Exec.Rng.create seed and b = Exec.Rng.create seed in
+            for k = 0 to 399 do
+              let p = float_of_int (k mod 21) /. 20.0 in
+              let p = if k mod 7 = 0 then p -. 0.001 else p in
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d, draw %d, p %g" seed k p)
+                (Exec.Rng.float b < p) (Exec.Rng.chance a p)
+            done)
+          [ 0; 1; 42; -1; max_int ]);
+  ]
+
 (* The per-step observation hook must cost nothing beyond the call: a
    listening [pre_instr] allocates the same minor words as none at all,
-   up to a small constant that does not grow with the step count. *)
+   up to a small constant that does not grow with the step count.  A
+   bare step, and the plan-executing hooks on top of it, allocate
+   almost nothing either. *)
 let hook_allocation =
   [
     Alcotest.test_case "a pre_instr listener allocates nothing per step"
@@ -337,6 +520,22 @@ let hook_allocation =
                               (%d steps)"
                 bug.name heard bare steps)
           Bugbase.Registry.all);
+    (* The whole client-side instrumentation at each bug's
+       first-iteration plan, over the cost ledger's clients. *)
+    Alcotest.test_case "a step allocates at most 2 words, Runtime.hooks 1 more"
+      `Quick (fun () ->
+        List.iter
+          (fun (b : Tsupport.Costs.bug) ->
+            let l = Tsupport.Costs.measure b in
+            let per w = w /. float_of_int l.steps in
+            let name = b.spec.sp_name in
+            if per l.bare_w > 2.0 then
+              Alcotest.failf "%s: a bare step allocates %.2f words" name
+                (per l.bare_w);
+            if per (l.hooked_w -. l.bare_w) > 1.0 then
+              Alcotest.failf "%s: Runtime.hooks add %.2f words per step" name
+                (per (l.hooked_w -. l.bare_w)))
+          (Lazy.force Tsupport.Costs.bugs));
   ]
 
 let () =
@@ -345,10 +544,12 @@ let () =
       ("arithmetic", arithmetic);
       ("control-flow", control_flow);
       ("memory", memory);
+      ("memory-edges", memory_edges);
       ("threading", threading);
       ("determinism", determinism);
       ("builtins", builtins);
       ("cost-model", cost_model);
       ("forced-schedule", forced_schedule);
+      ("rng", rng);
       ("hook-allocation", hook_allocation);
     ]

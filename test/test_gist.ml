@@ -96,7 +96,9 @@ let client =
         in
         Alcotest.(check bool) "failing" true (Gist.Client.failing report);
         Alcotest.(check bool) "failure pc decoded" true
-          (List.mem failure.pc (Gist.Client.executed_set report));
+          (List.exists
+             (fun (_, iids) -> List.mem failure.pc iids)
+             report.r_executed);
         Alcotest.(check bool) "base cycles positive" true
           (report.r_base_cycles > 0.0));
     Alcotest.test_case "monitored successful run has no signature" `Quick
