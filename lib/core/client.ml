@@ -1,7 +1,8 @@
 (* The Gist client: one production endpoint executing one run under the
    instrumentation plan the server shipped, then reporting back the
    decoded control-flow trace, watchpoint log, and outcome (paper
-   Fig. 2, steps 2 and 4). *)
+   Fig. 2, steps 2 and 4).  Each thread's PT ring is decoded with one
+   [Hw.Pt.decode] call. *)
 
 open Ir.Types
 
@@ -55,37 +56,27 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
     Exec.Interp.run ~hooks ~counters ~max_steps ~preempt_prob program w
   in
   Hw.Pt.finish pt;
-  (* Each stream leaves the recorder as ring *bytes* ([Hw.Pt.wire_of])
-     and is decoded back through the byte codec before the control-flow
-     walk — the same path a real client takes from its PT ring pages.
-     The fault layer's [tamper] hook damages those bytes (in-ring harm,
-     before the report is sealed); a damaged ring yields its clean
-     decoded prefix plus a typed error the server validates against.
-     An [Empty_stream] from the walk over a *well-formed* empty ring is
-     benign (the thread simply never enabled tracing — every thread
-     gets a stream via the runtime hooks); only a ring whose bytes were
-     dropped entirely books the error. *)
-  let decoded, pt_errors =
-    List.fold_left
-      (fun (ds, es) tid ->
+  (* Each thread's ring leaves the recorder as bytes and is decoded
+     against the program -- the path a real client's PT ring pages
+     take.  The fault layer's [tamper] hook damages those bytes
+     (in-ring harm, before the report is sealed); a damaged ring
+     yields its clean decoded prefix plus a typed error the server
+     validates against. *)
+  let decoded =
+    List.map
+      (fun tid ->
         let bytes = Hw.Pt.wire_of pt tid in
         let bytes =
           match tamper with None -> bytes | Some f -> f ~tid bytes
         in
-        let packets, wire_err = Hw.Pt.Wire.decode bytes in
-        let d, walk_err = Hw.Pt.decode_checked program packets in
-        let err =
-          match (wire_err, walk_err) with
-          | Some e, _ -> Some e (* byte-level damage wins: it came first *)
-          | None, Some Hw.Pt.Empty_stream -> None
-          | None, e -> e
-        in
-        ( (tid, d) :: ds,
-          match err with None -> es | Some e -> (tid, e) :: es ))
-      ([], []) (Hw.Pt.all_tids pt)
+        (tid, Hw.Pt.decode program bytes))
+      (Hw.Pt.all_tids pt)
   in
-  let decoded = List.rev decoded in
-  let pt_errors = List.rev pt_errors in
+  let pt_errors =
+    List.filter_map
+      (fun (tid, (_, err)) -> Option.map (fun e -> (tid, e)) err)
+      decoded
+  in
   let signature =
     match result.outcome with
     | Exec.Interp.Failed rep -> Some (Exec.Failure.signature rep)
@@ -98,7 +89,7 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
      statement may already appear, but the *crash instance* is the one
      the sketch must order. *)
   let executed =
-    List.map (fun (tid, (d : Hw.Pt.decoded)) -> (tid, d.d_iids)) decoded
+    List.map (fun (tid, ((d : Hw.Pt.decoded), _)) -> (tid, d.d_iids)) decoded
   in
   let executed =
     match result.outcome with
@@ -118,7 +109,9 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
     | Exec.Interp.Success -> executed
   in
   let branches =
-    List.concat_map (fun (_, (d : Hw.Pt.decoded)) -> d.d_branches) decoded
+    List.concat_map
+      (fun (_, ((d : Hw.Pt.decoded), _)) -> d.d_branches)
+      decoded
   in
   let traps =
     if data_via_pt then
@@ -126,7 +119,7 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
          per-thread streams; TSC gives the cross-thread total order the
          watchpoint unit used to provide. *)
       List.concat_map
-        (fun (tid, (d : Hw.Pt.decoded)) ->
+        (fun (tid, ((d : Hw.Pt.decoded), _)) ->
           List.map
             (fun (w : Hw.Pt.ptw) ->
               Hw.Watchpoint.

@@ -10,21 +10,20 @@
    - carries no data values;
    - has a byte-accounted trace volume feeding the overhead model.
 
-   Streams are packed: each per-thread stream is a growable packet
-   array appended in place (real PT writes into a ring of physical
-   pages), and pending TNT bits live in a fixed 8-slot buffer, so
-   recording allocates nothing per packet beyond the packet itself.
-   [packets_of] reads the array front to back — the same oldest-first
-   order the previous newest-first list representation produced after
-   its reversal.
+   A ring has one form: bytes.  Each per-thread stream appends every
+   packet's bytes to its ring as it records (real PT writes into a ring
+   of physical pages), and pending TNT bits are an int mask plus a
+   count, so recording allocates nothing per packet.  [Wire.encode]
+   replays a packet list through the same writer, so the byte layout is
+   written in one place.
 
-   The decoder reconstructs the executed instruction sequence between
-   each PGE/PGD pair by re-walking the program, consuming one TNT bit
-   per conditional branch and one TIP per return.  The walk runs on the
-   lowered successor table ([Ir.Lowered.l_dsteps], memoised by
-   [Analysis.Cache.lowered]): one array load per reconstructed
-   instruction, instead of a by-iid Hashtbl probe, a function-table
-   lookup and an O(blocks) label scan. *)
+   The trace has one reader, [decode]: the byte codec, then a
+   control-flow walk that reconstructs the executed instruction
+   sequence between each PGE/PGD pair by re-walking the program,
+   consuming one TNT bit per conditional branch and one TIP per return.
+   The walk runs on the lowered successor table
+   ([Ir.Lowered.l_dsteps], memoised by [Analysis.Cache.lowered]): one
+   array load per reconstructed instruction. *)
 
 open Ir.Types
 
@@ -48,181 +47,6 @@ type packet =
   | TNT of bool list  (* up to 8 branch outcomes, oldest first *)
   | TIP of iid        (* return target; 0 = thread exit *)
   | PTW of ptw        (* extension: a data packet (address + value + TSC) *)
-
-let packet_bytes = function
-  | PGE _ -> 8
-  | PGD _ -> 2
-  | TNT _ -> 1
-  | TIP _ -> 5
-  | PTW _ -> 10
-
-type stream = {
-  s_tid : int;
-  mutable enabled : bool;
-  mutable buf : packet array;    (* packed ring; [buf.(0 .. len-1)] used *)
-  mutable len : int;
-  tnt_buf : bool array;          (* pending TNT bits, oldest first *)
-  mutable tnt_len : int;         (* < 8 *)
-  mutable last_pc : int;         (* last pc seen while enabled (FUP) *)
-}
-
-(* Streams are indexed by tid (the interpreter hands out dense tids
-   from 0), so finding a thread's stream on every step is one array
-   load; slots of threads that have no stream yet hold [absent]. *)
-type recorder = {
-  counters : Exec.Cost.t;
-  mutable streams : stream array;
-  mutable tsc : int; (* global timestamp counter for PTW packets *)
-}
-
-(* The array slots beyond [len] need a placeholder; PGD (-1) is as good
-   as any and never read. *)
-let placeholder = PGD (-1)
-
-let absent =
-  {
-    s_tid = -1;
-    enabled = false;
-    buf = [||];
-    len = 0;
-    tnt_buf = [||];
-    tnt_len = 0;
-    last_pc = -1;
-  }
-
-let create counters = { counters; streams = Array.make 8 absent; tsc = 0 }
-
-let new_stream r tid =
-  let cap = Array.length r.streams in
-  if tid >= cap then begin
-    let bigger = Array.make (max (2 * cap) (tid + 1)) absent in
-    Array.blit r.streams 0 bigger 0 cap;
-    r.streams <- bigger
-  end;
-  let s =
-    {
-      s_tid = tid;
-      enabled = false;
-      buf = Array.make 64 placeholder;
-      len = 0;
-      tnt_buf = Array.make 8 false;
-      tnt_len = 0;
-      last_pc = -1;
-    }
-  in
-  r.streams.(tid) <- s;
-  s
-
-(* A thread's stream, created on first use.  Tids are non-negative. *)
-let stream r tid =
-  if tid >= 0 && tid < Array.length r.streams then
-    let s = Array.unsafe_get r.streams tid in
-    if s != absent then s else new_stream r tid
-  else new_stream r tid
-
-let emit r s p =
-  if s.len = Array.length s.buf then begin
-    let bigger = Array.make (2 * s.len) placeholder in
-    Array.blit s.buf 0 bigger 0 s.len;
-    s.buf <- bigger
-  end;
-  s.buf.(s.len) <- p;
-  s.len <- s.len + 1;
-  r.counters.pt_packets <- r.counters.pt_packets + 1;
-  r.counters.pt_bytes <- r.counters.pt_bytes + packet_bytes p
-
-let flush_tnt r s =
-  if s.tnt_len > 0 then begin
-    emit r s (TNT (Array.to_list (Array.sub s.tnt_buf 0 s.tnt_len)));
-    s.tnt_len <- 0
-  end
-
-let enabled r tid = (stream r tid).enabled
-
-let enable r ~tid ~pc =
-  let s = stream r tid in
-  if not s.enabled then begin
-    s.enabled <- true;
-    emit r s (PGE pc);
-    r.counters.pt_toggles <- r.counters.pt_toggles + 1
-  end
-
-let disable r ~tid ~pc =
-  let s = stream r tid in
-  if s.enabled then begin
-    flush_tnt r s;
-    emit r s (PGD pc);
-    s.enabled <- false;
-    r.counters.pt_toggles <- r.counters.pt_toggles + 1
-  end
-
-(* Track the current pc of an enabled stream so a crash-time flush can
-   emit it, like the FUP accompanying a real PGD. *)
-let note_pc r ~tid ~pc =
-  let s = stream r tid in
-  if s.enabled then s.last_pc <- pc
-
-let on_branch r ~tid ~taken =
-  let s = stream r tid in
-  if s.enabled then begin
-    s.tnt_buf.(s.tnt_len) <- taken;
-    s.tnt_len <- s.tnt_len + 1;
-    if s.tnt_len >= 8 then flush_tnt r s
-  end
-
-let on_ret r ~tid ~resume =
-  let s = stream r tid in
-  if s.enabled then begin
-    flush_tnt r s;
-    match resume with
-    | Some i -> emit r s (TIP i)
-    | None ->
-      (* Thread exit: the return completed, so the segment closes with
-         a sentinel PGD (-2) that never truncates the decode. *)
-      emit r s (TIP 0);
-      emit r s (PGD (-2));
-      s.enabled <- false
-  end
-
-(* Extension: emit a PTWRITE-style data packet for an instrumented
-   access (only while the stream is tracing). *)
-let on_data r ~tid ~iid ~addr ~rw ~value =
-  let s = stream r tid in
-  if s.enabled then begin
-    flush_tnt r s;
-    r.tsc <- r.tsc + 1;
-    emit r s
-      (PTW
-         {
-           p_tsc = r.tsc;
-           p_iid = iid;
-           p_addr = addr;
-           p_write = (rw = Exec.Interp.Write);
-           p_value = value;
-         })
-  end
-
-(* End of run: close any stream still tracing (e.g. the run crashed).
-   The PGD carries -1: the decoder stops at the last packet-backed
-   position, like a real decoder facing a truncated trace. *)
-let finish r =
-  Array.iter
-    (fun s ->
-      if s.enabled then begin
-        flush_tnt r s;
-        emit r s (PGD s.last_pc);
-        s.enabled <- false
-      end)
-    r.streams
-
-let packets_of r tid =
-  let s = stream r tid in
-  Array.to_list (Array.sub s.buf 0 s.len)
-
-let all_tids r =
-  Array.fold_right
-    (fun s acc -> if s != absent then s.s_tid :: acc else acc)
-    r.streams []
 
 (* ------------------------------------------------------------------ *)
 (* Typed decode faults, shared by the byte-level ring codec below and
@@ -265,58 +89,79 @@ let error_to_string = function
    (fleet-health counters must not book drops as corruption). *)
 module Wire = struct
   let magic = 0xB7
+  let tag_pge = 0x01
+  let tag_pgd = 0x02
+  let tag_tip = 0x04
+  let tag_ptw = 0x05
 
-  type chain = { mutable last_iid : int; mutable last_tsc : int }
+  (* A ring being written: the packet bytes that follow the header, the
+     packet count the header will carry, and the two delta chains. *)
+  type ring = {
+    body : Buffer.t;
+    mutable count : int;
+    mutable last_iid : int;
+    mutable last_tsc : int;
+  }
 
-  let add_packet b ch p =
-    let delta_iid iid =
-      let d = iid - ch.last_iid in
-      ch.last_iid <- iid;
-      Wirebuf.put_int b d
-    in
-    match p with
-    | PGE pc ->
-      Buffer.add_char b '\001';
-      delta_iid pc
-    | PGD pc ->
-      Buffer.add_char b '\002';
-      delta_iid pc
-    | TIP pc ->
-      Buffer.add_char b '\004';
-      delta_iid pc
+  let ring () =
+    { body = Buffer.create 64; count = 0; last_iid = 0; last_tsc = 0 }
+
+  let put_iid w iid =
+    Wirebuf.put_int w.body (iid - w.last_iid);
+    w.last_iid <- iid
+
+  (* A PGE, PGD or TIP: the tag, then the target on the iid chain. *)
+  let put_transfer w tag pc =
+    Buffer.add_char w.body (Char.unsafe_chr tag);
+    put_iid w pc;
+    w.count <- w.count + 1
+
+  (* [n] outcomes, the oldest in bit 0 of [mask]. *)
+  let put_tnt w ~n ~mask =
+    Buffer.add_char w.body (Char.unsafe_chr (0x10 lor n));
+    Buffer.add_char w.body (Char.unsafe_chr mask);
+    w.count <- w.count + 1
+
+  let put_ptw w ~tsc ~iid ~addr ~write ~value =
+    Buffer.add_char w.body (Char.unsafe_chr tag_ptw);
+    Wirebuf.put_uint w.body (tsc - w.last_tsc);
+    w.last_tsc <- tsc;
+    put_iid w iid;
+    Wirebuf.put_int w.body addr;
+    Wirebuf.put_bool w.body write;
+    Wirebuf.put_value w.body value;
+    w.count <- w.count + 1
+
+  (* The finished ring: magic, varint count, body. *)
+  let contents w =
+    let b = Buffer.create (Buffer.length w.body + 10) in
+    Buffer.add_char b (Char.unsafe_chr magic);
+    Wirebuf.put_uint b w.count;
+    Buffer.add_buffer b w.body;
+    Buffer.contents b
+
+  let put w = function
+    | PGE pc -> put_transfer w tag_pge pc
+    | PGD pc -> put_transfer w tag_pgd pc
+    | TIP pc -> put_transfer w tag_tip pc
     | TNT bits ->
       let n = List.length bits in
       if n < 1 || n > 8 then
         invalid_arg "Pt.Wire: TNT carries 1..8 outcomes";
-      Buffer.add_char b (Char.chr (0x10 lor n));
       let mask, _ =
         List.fold_left
           (fun (m, i) bit -> ((if bit then m lor (1 lsl i) else m), i + 1))
           (0, 0) bits
       in
-      Buffer.add_char b (Char.chr mask)
-    | PTW w ->
-      Buffer.add_char b '\005';
-      Wirebuf.put_uint b (w.p_tsc - ch.last_tsc);
-      ch.last_tsc <- w.p_tsc;
-      delta_iid w.p_iid;
-      Wirebuf.put_int b w.p_addr;
-      Wirebuf.put_bool b w.p_write;
-      Wirebuf.put_value b w.p_value
-
-  let encode_into b ~count packet_at =
-    Buffer.add_char b (Char.chr magic);
-    Wirebuf.put_uint b count;
-    let ch = { last_iid = 0; last_tsc = 0 } in
-    for i = 0 to count - 1 do
-      add_packet b ch (packet_at i)
-    done
+      put_tnt w ~n ~mask
+    | PTW p ->
+      put_ptw w ~tsc:p.p_tsc ~iid:p.p_iid ~addr:p.p_addr ~write:p.p_write
+        ~value:p.p_value
 
   let encode packets =
-    let b = Buffer.create (16 + (4 * List.length packets)) in
-    let arr = Array.of_list packets in
-    encode_into b ~count:(Array.length arr) (Array.get arr);
-    Buffer.contents b
+    let w = ring () in
+    List.iter (put w) packets;
+    contents w
 
   let decode bytes =
     if String.length bytes = 0 then ([], Some Empty_stream)
@@ -329,10 +174,10 @@ module Wire = struct
         let err = ref None in
         (try
            let count = Wirebuf.get_uint r in
-           let ch = { last_iid = 0; last_tsc = 0 } in
+           let last_iid = ref 0 and last_tsc = ref 0 in
            let next_iid () =
-             ch.last_iid <- ch.last_iid + Wirebuf.get_int r;
-             ch.last_iid
+             last_iid := !last_iid + Wirebuf.get_int r;
+             !last_iid
            in
            let i = ref 0 in
            while !i < count && !err = None do
@@ -341,8 +186,8 @@ module Wire = struct
               | 0x02 -> acc := PGD (next_iid ()) :: !acc
               | 0x04 -> acc := TIP (next_iid ()) :: !acc
               | 0x05 ->
-                let tsc = ch.last_tsc + Wirebuf.get_uint r in
-                ch.last_tsc <- tsc;
+                let tsc = !last_tsc + Wirebuf.get_uint r in
+                last_tsc := tsc;
                 let iid = next_iid () in
                 let addr = Wirebuf.get_int r in
                 let write = Wirebuf.get_bool r in
@@ -378,13 +223,174 @@ module Wire = struct
       end
 end
 
-(* The ring as bytes, straight from the packed packet array (no
-   intermediate packet list). *)
-let wire_of r tid =
+(* ------------------------------------------------------------------ *)
+(* Recorder *)
+
+type stream = {
+  s_tid : int;
+  mutable enabled : bool;
+  ring : Wire.ring;
+  mutable tnt_mask : int;        (* pending TNT bits, the oldest in bit 0 *)
+  mutable tnt_len : int;         (* < 8 *)
+  mutable last_pc : int;         (* last pc seen while enabled (FUP) *)
+}
+
+(* Streams are indexed by tid (the interpreter hands out dense tids
+   from 0), so finding a thread's stream on every step is one array
+   load; slots of threads that have no stream yet hold [absent]. *)
+type recorder = {
+  counters : Exec.Cost.t;
+  mutable streams : stream array;
+  mutable tsc : int; (* global timestamp counter for PTW packets *)
+}
+
+let absent =
+  {
+    s_tid = -1;
+    enabled = false;
+    ring = Wire.ring ();
+    tnt_mask = 0;
+    tnt_len = 0;
+    last_pc = -1;
+  }
+
+let create counters = { counters; streams = Array.make 8 absent; tsc = 0 }
+
+let new_stream r tid =
+  let cap = Array.length r.streams in
+  if tid >= cap then begin
+    let bigger = Array.make (max (2 * cap) (tid + 1)) absent in
+    Array.blit r.streams 0 bigger 0 cap;
+    r.streams <- bigger
+  end;
+  let s =
+    {
+      s_tid = tid;
+      enabled = false;
+      ring = Wire.ring ();
+      tnt_mask = 0;
+      tnt_len = 0;
+      last_pc = -1;
+    }
+  in
+  r.streams.(tid) <- s;
+  s
+
+(* A thread's stream, created on first use.  Tids are non-negative. *)
+let stream r tid =
+  if tid >= 0 && tid < Array.length r.streams then
+    let s = Array.unsafe_get r.streams tid in
+    if s != absent then s else new_stream r tid
+  else new_stream r tid
+
+(* Every packet books one packet and its cost-model trace volume
+   (PGE 8, PGD 2, TIP 5, TNT 1, PTW 10 bytes), which is not its ring
+   size. *)
+let charge r volume =
+  r.counters.pt_packets <- r.counters.pt_packets + 1;
+  r.counters.pt_bytes <- r.counters.pt_bytes + volume
+
+let pge r s pc =
+  Wire.put_transfer s.ring Wire.tag_pge pc;
+  charge r 8
+
+let pgd r s pc =
+  Wire.put_transfer s.ring Wire.tag_pgd pc;
+  charge r 2
+
+let tip r s pc =
+  Wire.put_transfer s.ring Wire.tag_tip pc;
+  charge r 5
+
+let flush_tnt r s =
+  if s.tnt_len > 0 then begin
+    Wire.put_tnt s.ring ~n:s.tnt_len ~mask:s.tnt_mask;
+    charge r 1;
+    s.tnt_mask <- 0;
+    s.tnt_len <- 0
+  end
+
+let enabled r tid = (stream r tid).enabled
+
+let enable r ~tid ~pc =
   let s = stream r tid in
-  let b = Buffer.create (16 + (4 * s.len)) in
-  Wire.encode_into b ~count:s.len (Array.get s.buf);
-  Buffer.contents b
+  if not s.enabled then begin
+    s.enabled <- true;
+    pge r s pc;
+    r.counters.pt_toggles <- r.counters.pt_toggles + 1
+  end
+
+let disable r ~tid ~pc =
+  let s = stream r tid in
+  if s.enabled then begin
+    flush_tnt r s;
+    pgd r s pc;
+    s.enabled <- false;
+    r.counters.pt_toggles <- r.counters.pt_toggles + 1
+  end
+
+(* Track the current pc of an enabled stream so a crash-time flush can
+   emit it, like the FUP accompanying a real PGD. *)
+let note_pc r ~tid ~pc =
+  let s = stream r tid in
+  if s.enabled then s.last_pc <- pc
+
+let on_branch r ~tid ~taken =
+  let s = stream r tid in
+  if s.enabled then begin
+    if taken then s.tnt_mask <- s.tnt_mask lor (1 lsl s.tnt_len);
+    s.tnt_len <- s.tnt_len + 1;
+    if s.tnt_len >= 8 then flush_tnt r s
+  end
+
+let on_ret r ~tid ~resume =
+  let s = stream r tid in
+  if s.enabled then begin
+    flush_tnt r s;
+    match resume with
+    | Some i -> tip r s i
+    | None ->
+      (* Thread exit: the return completed, so the segment closes with
+         a sentinel PGD (-2) that never truncates the decode. *)
+      tip r s 0;
+      pgd r s (-2);
+      s.enabled <- false
+  end
+
+(* Extension: emit a PTWRITE-style data packet for an instrumented
+   access (only while the stream is tracing). *)
+let on_data r ~tid ~iid ~addr ~rw ~value =
+  let s = stream r tid in
+  if s.enabled then begin
+    flush_tnt r s;
+    r.tsc <- r.tsc + 1;
+    Wire.put_ptw s.ring ~tsc:r.tsc ~iid ~addr
+      ~write:(rw = Exec.Interp.Write) ~value;
+    charge r 10
+  end
+
+(* End of run: close any stream still tracing (e.g. the run crashed).
+   The PGD carries the last noted pc: the decoder stops at the last
+   packet-backed position, like a real decoder facing a truncated
+   trace. *)
+let finish r =
+  Array.iter
+    (fun s ->
+      if s.enabled then begin
+        flush_tnt r s;
+        pgd r s s.last_pc;
+        s.enabled <- false
+      end)
+    r.streams
+
+let wire_of r tid = Wire.contents (stream r tid).ring
+
+let packets_of r tid = fst (Wire.decode (wire_of r tid))
+
+let all_tids r =
+  Array.fold_right
+    (fun s acc -> if s != absent then s.s_tid :: acc else acc)
+    r.streams []
 
 (* ------------------------------------------------------------------ *)
 (* Decoder *)
@@ -395,7 +401,6 @@ type decoded = {
   d_data : ptw list;                (* PTWRITE data packets, in TSC order *)
 }
 
-exception Malformed of string
 exception Stop_decode of error
 
 type cursor = {
@@ -423,18 +428,20 @@ let rec take_bit c =
       take_bit c
     | _ -> None)
 
-(* Peek: is the next meaningful packet a PGD? (used to detect segment end) *)
-let at_segment_end c = c.bits = [] && (match c.rest with PGD _ :: _ -> true | _ -> false)
+let rec last = function [ p ] -> Some p | [] -> None | _ :: tl -> last tl
 
-let decode_checked program packets =
-  (* No packets at all is its own condition, not a truncation: a thread
-     whose stream never toggled on records nothing legitimately, while a
-     dropped ring arrives empty illegitimately.  Only the caller can
-     tell the two apart, so the decoder reports the fact and lets
-     fleet-health accounting classify it. *)
-  if packets = [] then
-    ({ d_iids = []; d_branches = []; d_data = [] }, Some Empty_stream)
-  else
+(* Whether a crash-truncated segment ([stop_pc = -1]) has no packet
+   left before its end: the walk stops here rather than falling
+   through past the crash. *)
+let crashed_here c stop_pc =
+  stop_pc = -1 && c.bits = []
+  && (match c.rest with [] | PGD _ :: _ -> true | _ -> false)
+
+(* The control-flow walk over a decoded packet list.  No packets is a
+   clean empty trace: a well-formed ring with no packets comes from a
+   thread that never enabled tracing, and a dropped ring has already
+   been flagged by the byte codec. *)
+let walk program packets =
   let dsteps = (Analysis.Cache.lowered program).Ir.Lowered.l_dsteps in
   let n = Array.length dsteps in
   (* Data packets carry their own timestamps; split them out so the
@@ -449,10 +456,9 @@ let decode_checked program packets =
   (* A complete stream is PGD-terminated: [finish] closes every
      still-enabled stream, so a non-PGD tail means the ring lost
      packets.  The prefix below still decodes. *)
-  (match List.rev control with
-   | last :: _ when (match last with PGD _ -> false | _ -> true) ->
-     err := Some Truncated
-   | _ -> ());
+  (match last control with
+   | None | Some (PGD _) -> ()
+   | Some _ -> err := Some Truncated);
   let c = { rest = control; bits = [] } in
   let iids = ref [] and branches = ref [] in
   (* Decode one segment starting at [pc], until the PGD. *)
@@ -466,13 +472,7 @@ let decode_checked program packets =
       iids := pc :: !iids;
       (* Straight-line instructions fall through — unless the trace is
          truncated (the run crashed while tracing), in which case the
-         walk stops at the last packet-backed point rather than walking
-         past the crash. *)
-      let fall next =
-        if stop_pc = -1 && c.bits = [] && c.rest = [] then ()
-        else if stop_pc = -1 && at_segment_end c then ()
-        else next ()
-      in
+         walk stops at the last packet-backed point. *)
       match dsteps.(pc) with
       | Ir.Lowered.D_jump target -> walk target stop_pc
       | Ir.Lowered.D_branch (bt, be) -> (
@@ -496,10 +496,11 @@ let decode_checked program packets =
         | Some (PGD _) | None -> () (* truncated *)
         | Some _ ->
           raise (Stop_decode (Malformed_packet "expected TIP after return")))
-      | Ir.Lowered.D_fall next_pc -> fall (fun () -> walk next_pc stop_pc)
+      | Ir.Lowered.D_fall next_pc ->
+        if not (crashed_here c stop_pc) then walk next_pc stop_pc
       | Ir.Lowered.D_stop ->
-        fall (fun () ->
-            raise (Stop_decode (Malformed_packet "fell off block end")))
+        if not (crashed_here c stop_pc) then
+          raise (Stop_decode (Malformed_packet "fell off block end"))
     end
   in
   let rec segments () =
@@ -532,15 +533,8 @@ let decode_checked program packets =
   ( { d_iids = List.rev !iids; d_branches = List.rev !branches; d_data = data },
     !err )
 
-let decode program packets =
-  match decode_checked program packets with
-  | d, None -> d
-  (* A never-enabled stream is benign here: [decode] predates fleet
-     health accounting and its callers treat "no packets" as "ran
-     nothing traced". *)
-  | d, Some Empty_stream -> d
-  | _, Some e -> raise (Malformed (error_to_string e))
-
-(* Decode every stream of a recorder. *)
-let decode_all r program =
-  List.map (fun tid -> (tid, decode program (packets_of r tid))) (all_tids r)
+(* Byte-level damage came first, so its error wins over the walk's. *)
+let decode program bytes =
+  let packets, wire_err = Wire.decode bytes in
+  let d, walk_err = walk program packets in
+  (d, match wire_err with Some _ -> wire_err | None -> walk_err)

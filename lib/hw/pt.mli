@@ -8,15 +8,16 @@
     no data values, and with byte-accounted trace volume feeding the
     cost model.
 
-    Per-thread streams are packed: packets append into a growable
-    array (real PT writes into a ring of physical pages) and pending
-    TNT bits fill a fixed 8-slot buffer, so recording does no list
-    consing; {!packets_of} still returns the oldest-first packet list.
+    A ring has one form, bytes: each per-thread stream appends every
+    packet's {!Wire} bytes to its ring as it records (real PT writes
+    into a ring of physical pages), so recording allocates nothing per
+    packet.  {!wire_of} returns the ring.
 
-    The decoder reconstructs the executed instruction sequence between
-    each PGE/PGD pair by re-walking the program, consuming one TNT bit
-    per conditional branch and one TIP per return.  The walk runs on
-    the lowered successor table ([Ir.Lowered.l_dsteps], memoised via
+    The trace has one reader, {!decode}: the byte codec, then a walk
+    that reconstructs the executed instruction sequence between each
+    PGE/PGD pair by re-walking the program, consuming one TNT bit per
+    conditional branch and one TIP per return.  The walk runs on the
+    lowered successor table ([Ir.Lowered.l_dsteps], memoised via
     [Analysis.Cache.lowered]) — one array load per reconstructed
     instruction. *)
 
@@ -78,8 +79,6 @@ val on_ret : recorder -> tid:int -> resume:iid option -> unit
 (** Close any stream still tracing (e.g. the run crashed). *)
 val finish : recorder -> unit
 
-val packets_of : recorder -> int -> packet list
-
 (** The tids that have a stream, ascending. *)
 val all_tids : recorder -> int list
 
@@ -89,10 +88,10 @@ val all_tids : recorder -> int list
     missing terminator can only mean the ring itself lost its tail. *)
 type error =
   | Empty_stream
-      (** the ring arrived with no bytes / no packets at all — a
-          {e dropped} ring (or a thread that never enabled tracing),
+      (** the ring arrived with no bytes at all — a {e dropped} ring,
           distinct from a damaged one so fleet-health counters don't
-          book drops as corruption *)
+          book drops as corruption.  A well-formed ring with no
+          packets (a thread that never enabled tracing) is clean. *)
   | Truncated                   (** stream does not end with a PGD *)
   | Bad_target of int           (** transfer target outside the program *)
   | Malformed_packet of string
@@ -107,10 +106,11 @@ val error_to_string : error -> string
     bytes: [0x01] PGE, [0x02] PGD, [0x04] TIP, [0x05] PTW, [0x10|n] an
     n-bit TNT ([n] in 1..8) followed by one outcome-mask byte.  All
     iid payloads share one zigzag delta chain; PTW timestamps
-    delta-encode against the previous PTW in the stream. *)
+    delta-encode against the previous PTW in the stream.  The
+    recorder and {!encode} share one writer, so the layout is written
+    in one place. *)
 module Wire : sig
-  val magic : int
-
+  (** The bytes the recorder would write for [packets]. *)
   val encode : packet list -> string
 
   (** [decode bytes] never raises: a damaged ring yields the clean
@@ -121,9 +121,11 @@ module Wire : sig
   val decode : string -> packet list * error option
 end
 
-(** One thread's ring as bytes, encoded straight from the packed
-    packet array (no intermediate packet list). *)
+(** One thread's ring: the bytes its stream recorded. *)
 val wire_of : recorder -> int -> string
+
+(** [Wire.decode (wire_of r tid)]'s packets: a test seam. *)
+val packets_of : recorder -> int -> packet list
 
 type decoded = {
   d_iids : iid list;              (** executed instructions, in order *)
@@ -131,21 +133,10 @@ type decoded = {
   d_data : ptw list;              (** PTWRITE data packets, in TSC order *)
 }
 
-exception Malformed of string
-
-(** [decode_checked program packets] decodes as much of the stream as
-    is structurally sound: a damaged stream yields the clean decoded
-    prefix plus a typed error — never an out-of-bounds access, never
-    an exception.  [[]] decodes to the empty trace with
-    [Some Empty_stream]: the decoder cannot tell a never-enabled
-    stream from a dropped ring, so it reports the fact and lets the
-    caller classify it. *)
-val decode_checked : program -> packet list -> decoded * error option
-
-(** Decode one thread's packet stream against the program.
-    [Empty_stream] is benign here (an empty trace, not a fault).
-    @raise Malformed on a damaged stream. *)
-val decode : program -> packet list -> decoded
-
-(** Decode every stream of a recorder, by thread id. *)
-val decode_all : recorder -> program -> (int * decoded) list
+(** [decode program bytes] decodes one thread's ring against the
+    program: {!Wire.decode}, then the control-flow walk.  It never
+    raises: a damaged ring yields the clean decoded prefix plus a
+    typed error, the byte codec's winning over the walk's.  Zero bytes
+    is the only [Empty_stream]; a well-formed ring with no packets
+    decodes clean. *)
+val decode : program -> string -> decoded * error option

@@ -319,3 +319,14 @@ let per_thread_executed (res : Exec.Interp.result) =
     res.executed;
   Hashtbl.fold (fun tid l acc -> (tid, List.rev l) :: acc) tbl []
   |> List.sort compare
+
+(* Every stream of a finished recorder decoded against [program], by
+   thread id; a decode fault fails the test. *)
+let decode_streams pt program =
+  List.map
+    (fun tid ->
+      match Hw.Pt.decode program (Hw.Pt.wire_of pt tid) with
+      | d, None -> (tid, d)
+      | _, Some e ->
+        Alcotest.failf "thread %d: %s" tid (Hw.Pt.error_to_string e))
+    (Hw.Pt.all_tids pt)

@@ -46,7 +46,7 @@ let pt_props =
             program (I.workload ~args:[ Exec.Value.VInt 3 ] 1)
         in
         Hw.Pt.finish pt;
-        let d = Hw.Pt.decode program (Hw.Pt.packets_of pt 0) in
+        let d = List.assoc 0 (Tsupport.Programs.decode_streams pt program) in
         res.I.outcome = I.Success
         && d.Hw.Pt.d_iids = List.map snd res.I.executed);
   ]
@@ -83,7 +83,7 @@ let coverage_props =
         in
         Hw.Pt.finish pt;
         let decoded =
-          Hw.Pt.decode_all pt program
+          Tsupport.Programs.decode_streams pt program
           |> List.concat_map (fun (_, (d : Hw.Pt.decoded)) -> d.d_iids)
           |> List.sort_uniq compare
         in
@@ -156,7 +156,7 @@ let mt_props =
             program (I.workload ~args:[ Exec.Value.VInt 3 ] run_seed)
         in
         Hw.Pt.finish pt;
-        let decoded = Hw.Pt.decode_all pt program in
+        let decoded = Tsupport.Programs.decode_streams pt program in
         res.I.outcome = I.Success
         && List.for_all
              (fun (tid, expected) ->
@@ -200,7 +200,7 @@ let mt_props =
         in
         Hw.Pt.finish pt;
         let decoded =
-          Hw.Pt.decode_all pt program
+          Tsupport.Programs.decode_streams pt program
           |> List.concat_map (fun (_, (d : Hw.Pt.decoded)) -> d.d_iids)
           |> List.sort_uniq compare
         in

@@ -109,7 +109,7 @@ let coverage_case name program args =
             in
             Hw.Pt.finish pt;
             let decoded =
-              Hw.Pt.decode_all pt program
+              decode_streams pt program
               |> List.concat_map (fun (_, (d : Hw.Pt.decoded)) -> d.d_iids)
               |> List.sort_uniq compare
             in
