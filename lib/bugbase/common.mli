@@ -35,13 +35,6 @@ type t = {
   preempt_prob : float;
 }
 
-(** All instructions on a source line, in program order. *)
-val iids_at_line : program -> file:string -> line:int -> iid list
-
-(** Ordered iids for a list of source lines, restricted to instructions
-    that execute in a canonical target-failing run (memoised per bug). *)
-val iids_for_lines : t -> int list -> iid list
-
 (** The ideal sketch as ordered iids (memoised). *)
 val ideal : t -> Fsketch.Accuracy.ideal
 

@@ -68,8 +68,6 @@ let cfg program fname = Icfg.cfg_of (icfg program) fname
 
 let hits () = stats_.hits
 let misses () = stats_.misses
-let lowered_hits () = lstats_.hits
-let lowered_misses () = lstats_.misses
 
 let clear () =
   locked (fun () ->

@@ -17,14 +17,10 @@ val cfg : Ir.Types.program -> string -> Cfg.t
     as {!icfg}. *)
 val lowered : Ir.Types.program -> Ir.Lowered.t
 
-(** Cumulative cache hits / misses since start or [clear].
-    [hits]/[misses] count the ICFG cache; [lowered_hits]/
-    [lowered_misses] count the lowering cache. *)
+(** Cumulative ICFG cache hits / misses since start or [clear]. *)
 val hits : unit -> int
 
 val misses : unit -> int
-val lowered_hits : unit -> int
-val lowered_misses : unit -> int
 
 (** Drop every entry and reset the counters (benchmarking cold paths). *)
 val clear : unit -> unit

@@ -6,15 +6,9 @@ open Ir.Types
 type t = {
   func : func;
   graph : Graph.t;
-  label_index : (string, int) Hashtbl.t;
   dom : Dom.t;
   post : Dom.post;
 }
-
-let block_index t label =
-  match Hashtbl.find_opt t.label_index label with
-  | Some i -> i
-  | None -> invalid "unknown label %s in %s" label t.func.fname
 
 let of_func f =
   let n = Array.length f.blocks in
@@ -38,13 +32,12 @@ let of_func f =
   let graph = Graph.make n !edges in
   let dom = Dom.compute graph 0 in
   let post = Dom.compute_post graph in
-  { func = f; graph; label_index; dom; post }
+  { func = f; graph; dom; post }
 
 let n_blocks t = t.graph.Graph.n
 let succs t b = t.graph.Graph.succs.(b)
 let preds t b = t.graph.Graph.preds.(b)
 let block t b = t.func.blocks.(b)
-let entry_block (_ : t) = 0
 
 let exit_blocks t =
   let l = ref [] in
@@ -69,9 +62,6 @@ let find_iid t iid =
    block this is textual order; across blocks it is block dominance. *)
 let instr_strictly_dominates t (ba, ka) (bb, kb) =
   if ba = bb then ka < kb else Dom.strictly_dominates t.dom ba bb
-
-let instr_strictly_postdominates t (ba, ka) (bb, kb) =
-  if ba = bb then ka > kb else Dom.strictly_postdominates t.post ba bb
 
 (* Control dependence: block [b] is control-dependent on block [a] when
    [a] has a successor [x] such that [b] postdominates [x] but [b] does

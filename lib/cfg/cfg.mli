@@ -6,21 +6,16 @@ open Ir.Types
 type t = {
   func : func;
   graph : Graph.t;
-  label_index : (string, int) Hashtbl.t;
   dom : Dom.t;
   post : Dom.post;
 }
 
 val of_func : func -> t
 
-(** @raise Ir.Types.Invalid_program on unknown labels. *)
-val block_index : t -> string -> int
-
 val n_blocks : t -> int
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 val block : t -> int -> block
-val entry_block : t -> int
 
 (** Blocks with no successors (they end in [Ret]). *)
 val exit_blocks : t -> int list
@@ -33,8 +28,6 @@ val find_iid : t -> iid -> (int * int) option
 (** Within a block this is textual order; across blocks, block
     dominance. *)
 val instr_strictly_dominates : t -> int * int -> int * int -> bool
-
-val instr_strictly_postdominates : t -> int * int -> int * int -> bool
 
 (** Ferrante-Ottenstein-Warren control dependence: [.(b)] lists the
     blocks whose branch decides whether [b] executes. *)

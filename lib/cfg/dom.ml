@@ -82,7 +82,6 @@ let compute_post (g : Graph.t) =
   { vexit; dom = compute rg vexit }
 
 let postdominates p a b = dominates p.dom a b
-let strictly_postdominates p a b = strictly_dominates p.dom a b
 
 (* Immediate postdominator; [None] when it is the virtual exit. *)
 let ipdom p v =

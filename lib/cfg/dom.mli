@@ -28,7 +28,6 @@ type post = { vexit : int; dom : t }
 
 val compute_post : Graph.t -> post
 val postdominates : post -> int -> int -> bool
-val strictly_postdominates : post -> int -> int -> bool
 
 (** Immediate postdominator; [None] when it is the virtual exit. *)
 val ipdom : post -> int -> int option

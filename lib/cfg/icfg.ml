@@ -20,7 +20,6 @@ type t = {
   program : program;
   cfgs : (string, Cfg.t) Hashtbl.t;
   succs : (node, (node * edge_kind) list) Hashtbl.t;
-  preds : (node, (node * edge_kind) list) Hashtbl.t;
   call_sites : (string, iid list) Hashtbl.t;  (* callee -> call iids *)
   spawn_sites : (string, iid list) Hashtbl.t; (* routine -> spawn iids *)
 }
@@ -41,12 +40,9 @@ let add tbl key v =
 let build program =
   let cfgs = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace cfgs f.fname (Cfg.of_func f)) program.funcs;
-  let succs = Hashtbl.create 64 and preds = Hashtbl.create 64 in
+  let succs = Hashtbl.create 64 in
   let call_sites = Hashtbl.create 16 and spawn_sites = Hashtbl.create 16 in
-  let edge a b kind =
-    add_edge succs a b kind;
-    add_edge preds b a kind
-  in
+  let edge a b kind = add_edge succs a b kind in
   List.iter
     (fun f ->
       let cfg = Hashtbl.find cfgs f.fname in
@@ -76,7 +72,7 @@ let build program =
       done)
     program.funcs;
   (* Join edges, now that all spawn sites are known. *)
-  let t = { program; cfgs; succs; preds; call_sites; spawn_sites } in
+  let t = { program; cfgs; succs; call_sites; spawn_sites } in
   List.iter
     (fun f ->
       let cfg = Hashtbl.find cfgs f.fname in
@@ -90,8 +86,7 @@ let build program =
                   let rcfg = Hashtbl.find cfgs routine in
                   List.iter
                     (fun e ->
-                      add_edge succs (routine, e) (f.fname, b) (Join_edge i.iid);
-                      add_edge preds (f.fname, b) (routine, e) (Join_edge i.iid))
+                      add_edge succs (routine, e) (f.fname, b) (Join_edge i.iid))
                     (Cfg.exit_blocks rcfg))
                 spawn_sites
             | _ -> ())
@@ -101,7 +96,6 @@ let build program =
   t
 
 let successors t n = Option.value ~default:[] (Hashtbl.find_opt t.succs n)
-let predecessors t n = Option.value ~default:[] (Hashtbl.find_opt t.preds n)
 
 let call_sites_of t callee =
   Option.value ~default:[] (Hashtbl.find_opt t.call_sites callee)

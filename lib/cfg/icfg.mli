@@ -19,7 +19,6 @@ type t = {
   program : program;
   cfgs : (string, Cfg.t) Hashtbl.t;
   succs : (node, (node * edge_kind) list) Hashtbl.t;
-  preds : (node, (node * edge_kind) list) Hashtbl.t;
   call_sites : (string, iid list) Hashtbl.t;
   spawn_sites : (string, iid list) Hashtbl.t;
 }
@@ -30,7 +29,6 @@ val build : program -> t
 val cfg_of : t -> string -> Cfg.t
 
 val successors : t -> node -> (node * edge_kind) list
-val predecessors : t -> node -> (node * edge_kind) list
 
 (** Call instructions targeting a function. *)
 val call_sites_of : t -> string -> iid list

@@ -32,5 +32,4 @@ type signature = { s_kind : string; s_pc : Ir.Types.iid; s_stack : string list }
 
 val signature : report -> signature
 val same_failure : report -> report -> bool
-val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string

@@ -12,17 +12,11 @@ type ptwrite_row = {
   pw_recurrences : int;
 }
 
-val ptwrite_row : Bugbase.Common.t -> ptwrite_row option
-val ptwrite_rows : unit -> ptwrite_row list
-
 type range_row = {
   rg_name : string;
   exact_best_f : float;
   range_best_f : float;
 }
-
-val range_row : Bugbase.Common.t -> range_row option
-val range_rows : unit -> range_row list
 
 type alias_row = {
   al_name : string;
@@ -31,11 +25,4 @@ type alias_row = {
   growth_pct : float;
 }
 
-val alias_row : Bugbase.Common.t -> alias_row option
-val alias_rows : unit -> alias_row list
-
-val print_ptwrite : unit -> unit
-val print_alias : unit -> unit
-val print_ranges : unit -> unit
-val print_redaction : unit -> unit
 val print : unit -> unit

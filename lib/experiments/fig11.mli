@@ -2,10 +2,8 @@
     function of the tracked slice size. *)
 
 val sizes : int list
-val clients_per_point : int
 
 type point = { size : int; overhead_pct : float }
 
-val overhead_at : int -> float
 val points : unit -> point list
 val print : unit -> unit

@@ -1,8 +1,6 @@
 (** Fig. 13: full-tracing overhead of record/replay vs hardware Intel
     PT, per program (paper: 984% vs 11% on average). *)
 
-val clients_per_program : int
-
 type row = {
   name : string;
   rr_pct : float;

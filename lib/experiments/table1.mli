@@ -18,6 +18,5 @@ type row = {
   offline_time_s : float;
 }
 
-val row_of_result : Harness.bug_result -> row
 val rows : unit -> row list
 val print : unit -> unit

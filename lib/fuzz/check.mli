@@ -20,12 +20,9 @@ val verdict_equal : verdict -> verdict -> bool
 (** Line-based rendering of a predictor ("race:WR\@101->102"). *)
 val describe : Ir.Types.program -> Predict.Predictor.t -> string
 
-val matches_accept : Ir.Types.program -> Gen.accept -> Predict.Predictor.t -> bool
 val accepted : Gen.case -> Predict.Predictor.t -> bool
 
 (** {1 Probing} *)
-
-val probe_max_steps : int
 
 (** Quick two-workload differential check of the lowered engine against
     the reference engine; [Some detail] when they disagree. *)
@@ -37,8 +34,6 @@ type probe = {
   p_fails : int;
   p_succs : int;
 }
-
-val target_matches : Gen.case -> Exec.Failure.report -> bool
 
 (** Scan the first [max_clients] (default 96) production runs. *)
 val probe : ?max_clients:int -> Gen.case -> probe

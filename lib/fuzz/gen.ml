@@ -477,8 +477,6 @@ let kernel_shape pads = function
     ignore p;
     assert false (* sequential patterns are compiled separately *)
 
-let is_concurrent = function Branch_bug | Value_bug -> false | _ -> true
-
 let compile_scenario sc =
   (* The compile-time rng only feeds structural filler (padding branch
      conditions); seeding it constantly keeps [compile_scenario] a pure

@@ -83,17 +83,12 @@ type case = {
           under; [None] = reliable fleet *)
 }
 
-val is_concurrent : pattern -> bool
-val truth_of : pattern -> truth
-val args_cycle_of : pattern -> int list
-
 (** The deterministic per-client workload: client [c] gets argument
     [cycle.(c mod length)] and a seed derived from [c]. *)
 val seed_of_client : int -> int
 val workload_of : case -> int -> Exec.Interp.workload
 
 val scenario : ?pad_budget:int -> pattern -> int -> scenario
-val compile_scenario : scenario -> program
 val case_of_scenario : ?name:string -> ?seed:int -> scenario -> case
 
 (** [generate pattern seed]: a fresh labelled bug. *)

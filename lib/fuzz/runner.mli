@@ -20,8 +20,6 @@ type pattern_stats = {
   ps_correct : int;
 }
 
-val ps_accuracy : pattern_stats -> float
-
 type report = {
   r_seed : int;
   r_count : int;
@@ -64,9 +62,6 @@ val case_report :
     retries) checks, in slot order — for differential harnesses that
     compare diagnosis modes on the campaign's cases. *)
 val cases : ?retries:int -> seed:int -> count:int -> unit -> Gen.case list
-
-(** Fleet-protocol totals across every case that reached diagnosis. *)
-val fleet_totals : report -> Gist.Server.fleet_stats
 
 val to_json : report -> string
 val pp : Format.formatter -> report -> unit

@@ -17,10 +17,6 @@
 
 open Ir.Types
 
-(** Loads and stores (heap or global): the watchpoint-eligible
-    statements. *)
-val is_wp_target : instr -> bool
-
 (** [compute ?enable_cf ?enable_df program tracked] builds the plan for
     monitoring [tracked].  [enable_cf]/[enable_df] (default true) gate
     the control-flow (PT) and data-flow (watchpoint) parts — the

@@ -34,7 +34,6 @@ let ( >=% ) a b = Bin (Ge, a, b)
 let ( &&% ) a b = Bin (And, a, b)
 let ( ||% ) a b = Bin (Or, a, b)
 let mov a = Mov a
-let not_ a = Not a
 
 (* A per-source-file instruction factory. Typical use:
 

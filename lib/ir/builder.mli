@@ -36,7 +36,6 @@ val ( >=% ) : operand -> operand -> expr
 val ( &&% ) : operand -> operand -> expr
 val ( ||% ) : operand -> operand -> expr
 val mov : operand -> expr
-val not_ : operand -> expr
 
 (** [file f] is a per-source-file instruction factory:
     [let i = Builder.file "pbzip2.c" in

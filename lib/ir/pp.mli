@@ -2,16 +2,11 @@
 
 open Types
 
-val pp_operand : Format.formatter -> operand -> unit
 val binop_name : binop -> string
-val pp_expr : Format.formatter -> expr -> unit
-val pp_kind : Format.formatter -> instr_kind -> unit
 
 (** Renders "[iid] kind  ; file:line". *)
 val pp_instr : Format.formatter -> instr -> unit
 
-val pp_block : Format.formatter -> block -> unit
-val pp_func : Format.formatter -> func -> unit
 val pp_program : Format.formatter -> program -> unit
 val instr_to_string : instr -> string
 val program_to_string : program -> string

@@ -138,9 +138,6 @@ let source_loc_count p iids =
     iids;
   Hashtbl.length seen
 
-(* Registers read by an operand. *)
-let operand_regs = function Reg r -> [ r ] | Imm _ | Str _ | Null -> []
-
 let expr_operands = function
   | Bin (_, a, b) -> [ a; b ]
   | Mov a | Not a -> [ a ]

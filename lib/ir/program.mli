@@ -33,11 +33,6 @@ val iter_instrs : program -> (instr -> unit) -> unit
     "source LOC" metric of Table 1. *)
 val source_loc_count : program -> iid list -> int
 
-(** Registers read by an operand ([]) for immediates). *)
-val operand_regs : operand -> reg list
-
-val expr_operands : expr -> operand list
-
 (** Operands an instruction reads (labels excluded). *)
 val uses : instr -> operand list
 

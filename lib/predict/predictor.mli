@@ -47,9 +47,6 @@ val of_traps : Hw.Watchpoint.trap list -> t list
     "== 0", "== NULL", "!= NULL"; none for strings/handles). *)
 val range_predicates : Exec.Value.t -> string list
 
-(** Range predicates observed in one run's trap log. *)
-val of_value_ranges : Hw.Watchpoint.trap list -> t list
-
 (** All predictors observable in one monitored run, deduplicated.
     [ranges] (default false, the paper's behaviour) additionally mines
     the §6 range/inequality predicates. *)

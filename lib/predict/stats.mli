@@ -22,8 +22,6 @@ type ranked = {
   n_success_with : int;
 }
 
-val beta_default : float
-
 val f_measure : ?beta:float -> precision:float -> recall:float -> unit -> float
 
 (** Rank all predictors, best first (F-measure, deterministic
@@ -32,16 +30,9 @@ val rank : ?beta:float -> observation list -> ranked list
 
 (** {2 Confidence bounds (the adaptive early-exit stopping rule)} *)
 
-(** Default error rate for the confidence intervals: 0.05 (95%). *)
-val delta_default : float
-
-(** Inverse standard-normal CDF (Acklam's rational approximation):
-    the z with Phi(z) = p.  [neg_infinity]/[infinity] at p <= 0 /
-    p >= 1. *)
-val norm_ppf : float -> float
-
-(** The two-sided critical value for error rate [delta]:
-    [norm_ppf (1 - delta/2)] (1.96 at delta = 0.05). *)
+(** The two-sided critical value for error rate [delta]: the inverse
+    standard-normal CDF (Acklam's rational approximation) at
+    [1 - delta/2] (1.96 at delta = 0.05). *)
 val z_of_delta : float -> float
 
 (** Wilson score interval on a binomial proportion, clamped to [0,1].

@@ -41,6 +41,4 @@ val pp : Format.formatter -> t -> unit
     equal patterns once diagnosed — the collision audit checks
     exactly that. *)
 
-val describe_predictor : Ir.Types.program -> Predict.Predictor.t -> string
-val predictor_pattern : Ir.Types.program -> Predict.Predictor.t list -> string
 val pattern_of_ranked : Ir.Types.program -> Predict.Stats.ranked list -> string

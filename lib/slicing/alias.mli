@@ -21,9 +21,6 @@ type t
 
 val analyze : program -> t
 
-(** Points-to set of a register in a function. *)
-val points_to : t -> func:string -> reg:string -> ObjSet.t
-
 (** May two field accesses touch the same cell (same offset,
     overlapping base points-to sets)? *)
 val may_alias :
