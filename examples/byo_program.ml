@@ -73,9 +73,9 @@ let () =
     let workload_of c =
       Exec.Interp.workload ~args:[ Exec.Value.VInt (2 + (c mod 3)) ] (c * 6151)
     in
-    (match Gist.Server.first_failure program workload_of with
+    (match Exec.Interp.first_failure program workload_of with
      | None -> print_endline "no failure manifested in 2000 production runs"
-     | Some failure ->
+     | Some (_, failure) ->
        Printf.printf "production failure: %s\n\n"
          (Exec.Failure.report_to_string failure);
        let d =

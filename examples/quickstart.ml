@@ -84,9 +84,9 @@ let () =
   print_endline "== Gist quickstart: diagnosing a lost-update bug ==\n";
   (* 1. A failure occurs in production and is reported (stack trace +
         failing statement), paper Fig. 2 step 1. *)
-  match Gist.Server.first_failure program workload_of with
+  match Exec.Interp.first_failure program workload_of with
   | None -> print_endline "no failure manifested; try more clients"
-  | Some failure ->
+  | Some (_, failure) ->
     Printf.printf "production failure: %s\n\n"
       (Exec.Failure.report_to_string failure);
     (* 2. Diagnose: static slice + adaptive slice tracking over a

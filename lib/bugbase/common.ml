@@ -131,15 +131,5 @@ let is_target_failure (bug : t) (rep : Exec.Failure.report) =
 (* The production failure report that triggers the diagnosis: the first
    occurrence of the *target* failure across production clients. *)
 let find_target_failure ?(max_runs = 5000) ?(max_steps = 400_000) (bug : t) =
-  let rec go c =
-    if c >= max_runs then None
-    else
-      let r =
-        Exec.Interp.run ~max_steps ~preempt_prob:bug.preempt_prob bug.program
-          (bug.workload_of c)
-      in
-      match r.outcome with
-      | Exec.Interp.Failed rep when is_target_failure bug rep -> Some (c, rep)
-      | _ -> go (c + 1)
-  in
-  go 0
+  Exec.Interp.first_failure ~accept:(is_target_failure bug) ~max_runs
+    ~preempt_prob:bug.preempt_prob ~max_steps bug.program bug.workload_of

@@ -104,3 +104,10 @@ let validate t =
 
 let check t =
   match validate t with Ok t -> t | Error e -> raise (Invalid e)
+
+(* So a contained [Invalid] (a session that fails at admission) names
+   the bad field in its failure detail. *)
+let () =
+  Printexc.register_printer (function
+    | Invalid e -> Some ("invalid configuration: " ^ error_to_string e)
+    | _ -> None)

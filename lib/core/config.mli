@@ -63,6 +63,8 @@ type error =
   | Bad_separation_delta of float   (** must be in (0, 1) *)
   | Bad_checkpoint_every of int     (** must be positive *)
 
+(** [Printexc.to_string] renders it as ["invalid configuration: "]
+    followed by {!error_to_string}. *)
 exception Invalid of error
 
 val error_to_string : error -> string

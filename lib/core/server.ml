@@ -60,11 +60,10 @@ type fleet_stats = {
    the confirmed/discovered sets the moment it is consumed, then
    dropped -- server state per iteration is O(slice), not O(fleet).
 
-   [Retained] is the reference oracle (kept like [Exec.Refinterp]):
-   every accepted report is retained and refinement replays the
-   original batch loop.  Both paths share the wire protocol, fault
-   regime and slot ordering, so a differential test can demand
-   identical diagnoses. *)
+   [Retained] is the reference oracle: every accepted report is
+   retained and refinement replays the original batch loop.  Both
+   paths share the wire protocol, fault regime and slot ordering, so a
+   differential test can demand identical diagnoses. *)
 type ingest_mode = Streaming | Retained
 
 (* What one valid slot contributes, precomputed on the worker so the
@@ -95,22 +94,6 @@ type diagnosis = {
   trace : iteration_info list; (* per-AsT-iteration progress *)
   fleet : fleet_stats;
 }
-
-(* Find the first production failure (unmonitored runs): what a
-   coredump/stack-trace report gives the developer to start from. *)
-let first_failure ?(max_runs = 2000) ?(preempt_prob = 0.35)
-    ?(max_steps = 400_000) program workload_of =
-  let rec go k =
-    if k >= max_runs then None
-    else
-      let result =
-        Exec.Interp.run ~max_steps ~preempt_prob program (workload_of k)
-      in
-      match result.outcome with
-      | Exec.Interp.Failed rep -> Some rep
-      | Exec.Interp.Success -> go (k + 1)
-  in
-  go 0
 
 (* Split watchpoint targets into rotation groups of at most
    [wp_capacity]; client [c] arms group [c mod n_groups] (§3.2.3's

@@ -62,10 +62,10 @@ type fleet_stats = {
     moment it is consumed, then dropped — server state per iteration
     is O(slice), not O(fleet).
 
-    [Retained] is the reference oracle, kept like [Exec.Refinterp]:
-    accepted reports are retained and refinement replays the original
-    batch loop.  Both modes share the wire protocol, fault regime and
-    slot ordering, and produce bit-identical diagnoses. *)
+    [Retained] is the reference oracle: accepted reports are retained
+    and refinement replays the original batch loop.  Both modes share
+    the wire protocol, fault regime and slot ordering, and produce
+    bit-identical diagnoses. *)
 type ingest_mode = Streaming | Retained
 
 type diagnosis = {
@@ -85,16 +85,6 @@ type diagnosis = {
   trace : iteration_info list;
   fleet : fleet_stats;
 }
-
-(** Scan unmonitored production runs for the first failure: the
-    coredump/stack-trace report a developer starts from. *)
-val first_failure :
-  ?max_runs:int ->
-  ?preempt_prob:float ->
-  ?max_steps:int ->
-  program ->
-  (int -> Exec.Interp.workload) ->
-  Exec.Failure.report option
 
 (** Split watchpoint targets into rotation groups of at most
     [wp_capacity]; client [c] arms group [c mod n] (§3.2.3's

@@ -12,8 +12,8 @@
    table indices, and builtins dispatch on an opcode variant instead of
    string comparison.  Observable behaviour — hook firings, RNG draws,
    scheduler choices, crash pcs/messages, counters — is bit-identical
-   to the nominal reference engine ([Refinterp], kept for the
-   differential test). *)
+   to the nominal reference engine, which only the test tree keeps
+   (test/support/, for the differential test). *)
 
 open Ir.Types
 open Value
@@ -640,3 +640,17 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
         loop ()
   in
   try loop () with Crash_report r -> finish (Failed r)
+
+(* The first production failure (unmonitored runs of clients 0, 1,
+   ...) that [accept] admits: what a coredump/stack-trace report gives
+   the developer to start from. *)
+let first_failure ?(accept = fun _ -> true) ?(max_runs = 2000)
+    ?(preempt_prob = 0.35) ?(max_steps = 400_000) program workload_of =
+  let rec go c =
+    if c >= max_runs then None
+    else
+      match (run ~max_steps ~preempt_prob program (workload_of c)).outcome with
+      | Failed rep when accept rep -> Some (c, rep)
+      | _ -> go (c + 1)
+  in
+  go 0

@@ -96,3 +96,18 @@ val run :
   program ->
   workload ->
   result
+
+(** [first_failure program workload_of] scans unmonitored production
+    runs, client [c] running [workload_of c] for [c] from 0 below
+    [max_runs] (default 2000), and returns the first client whose
+    failure [accept] admits (default: any failure) with its report:
+    the coredump/stack-trace report a developer starts from.
+    [preempt_prob] and [max_steps] are passed to {!run}. *)
+val first_failure :
+  ?accept:(Failure.report -> bool) ->
+  ?max_runs:int ->
+  ?preempt_prob:float ->
+  ?max_steps:int ->
+  program ->
+  (int -> workload) ->
+  (int * Failure.report) option

@@ -15,7 +15,6 @@ type verdict =
   | Wrong_root_cause of string  (* normalized top predictor *)
   | No_predictor
   | No_failure
-  | Divergence of string        (* engines disagree on an observable *)
   | Crash of string             (* pipeline raised *)
 
 let verdict_name = function
@@ -23,7 +22,6 @@ let verdict_name = function
   | Wrong_root_cause _ -> "wrong-root-cause"
   | No_predictor -> "no-predictor"
   | No_failure -> "no-failure"
-  | Divergence _ -> "divergence"
   | Crash _ -> "crash"
 
 let verdict_to_string = function
@@ -31,7 +29,6 @@ let verdict_to_string = function
   | Wrong_root_cause d -> "wrong-root-cause: " ^ d
   | No_predictor -> "no-predictor"
   | No_failure -> "no-failure"
-  | Divergence d -> "divergence: " ^ d
   | Crash d -> "crash: " ^ d
 
 let verdict_equal a b = (a : verdict) = b
@@ -71,45 +68,9 @@ let accepted (case : Gen.case) (p : Predict.Predictor.t) =
     case.c_truth.t_accept
 
 (* ------------------------------------------------------------------ *)
-(* Probing: engine divergence and the target failure. *)
+(* Probing: the target failure. *)
 
 let probe_max_steps = 50_000
-
-(* A cheap differential smoke on two workloads: the lowered engine and
-   the reference engine must agree on outcome, output and step count
-   (the full observable set is covered by test_differential; this
-   catches generator-exposed divergence at fuzz time). *)
-let divergence case =
-  let check c =
-    let w = Gen.workload_of case c in
-    let run engine =
-      let r =
-        engine ~max_steps:probe_max_steps ~preempt_prob:case.Gen.c_preempt
-          case.Gen.c_program w
-      in
-      let out =
-        match r.I.outcome with
-        | I.Success -> "success"
-        | I.Failed f -> F.report_to_string f
-      in
-      (out, r.I.output, r.I.steps)
-    in
-    let a =
-      run (fun ~max_steps ~preempt_prob p w ->
-          I.run ~max_steps ~preempt_prob p w)
-    in
-    let b =
-      run (fun ~max_steps ~preempt_prob p w ->
-          Exec.Refinterp.run ~max_steps ~preempt_prob p w)
-    in
-    if a <> b then
-      let (oa, _, sa) = a and (ob, _, sb) = b in
-      Some
-        (Printf.sprintf "client %d: lowered=(%s,%d steps) ref=(%s,%d steps)" c
-           oa sa ob sb)
-    else None
-  in
-  match check 0 with Some d -> Some d | None -> check 1
 
 type probe = {
   p_target : F.report option;  (* first failure matching the truth *)
@@ -121,7 +82,7 @@ let target_matches (case : Gen.case) (f : F.report) =
   F.kind_tag f.kind = case.c_truth.t_kind_tag
   && line_of case.c_program f.pc = case.c_truth.t_fail_line
 
-(* Scan the client sequence the way [Server.first_failure] scans
+(* Scan the client sequence the way [Exec.Interp.first_failure] scans
    production runs, keeping counts so callers can tell an unviable
    case (never fails / never succeeds) from a diagnosable one. *)
 let probe ?(max_clients = 96) (case : Gen.case) =
@@ -191,14 +152,11 @@ let decided verdict =
 
 type stage = Decided of outcome | Diagnose of F.report
 
-(* The probe stages: divergence, then the target failure. *)
+(* The probe stage: the target failure. *)
 let prepare case =
-  match divergence case with
-  | Some d -> Decided (decided (Divergence d))
-  | None -> (
-    match (probe case).p_target with
-    | None -> Decided (decided No_failure)
-    | Some failure -> Diagnose failure)
+  match (probe case).p_target with
+  | None -> Decided (decided No_failure)
+  | Some failure -> Diagnose failure
 
 let oracle (case : Gen.case) (sk : Fsketch.Sketch.t) =
   match sk.predictors with
@@ -218,7 +176,7 @@ let of_diagnosis (case : Gen.case) (d : Gist.Server.diagnosis) =
     fleet = Some d.fleet;
   }
 
-(* [check case]: the probe stages, full [diagnose], verdict scoring.
+(* [check case]: the target probe, full [diagnose], verdict scoring.
    Deterministic: every stage is a pure function of the case, fault
    injection included ([c_faults] seeds its own stream).  The probes
    run unmonitored -- faults only touch the monitored fleet.

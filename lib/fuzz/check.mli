@@ -10,7 +10,6 @@ type verdict =
   | Wrong_root_cause of string  (** normalized top predictor *)
   | No_predictor
   | No_failure
-  | Divergence of string        (** execution engines disagree *)
   | Crash of string             (** the pipeline raised *)
 
 val verdict_name : verdict -> string
@@ -23,10 +22,6 @@ val describe : Ir.Types.program -> Predict.Predictor.t -> string
 val accepted : Gen.case -> Predict.Predictor.t -> bool
 
 (** {1 Probing} *)
-
-(** Quick two-workload differential check of the lowered engine against
-    the reference engine; [Some detail] when they disagree. *)
-val divergence : Gen.case -> string option
 
 type probe = {
   p_target : Exec.Failure.report option;
@@ -65,12 +60,12 @@ val verdict_of_sketch : Gen.case -> Fsketch.Sketch.t -> verdict
     elsewhere (the service gate) run the same stages around their own
     diagnosis. *)
 
-(** What the probe stages decided about a case. *)
+(** What the target probe decided about a case. *)
 type stage =
-  | Decided of outcome  (** divergence or no target failure *)
+  | Decided of outcome  (** no target failure *)
   | Diagnose of Exec.Failure.report  (** the failure to diagnose *)
 
-(** The divergence probe, then the failure probe. *)
+(** The failure probe: {!probe}'s target, or [No_failure]. *)
 val prepare : Gen.case -> stage
 
 (** The ground-truth accept oracle: the top predictor matches the

@@ -204,21 +204,6 @@ let fleet_totals r =
 (* ------------------------------------------------------------------ *)
 (* Reporting. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -274,11 +259,11 @@ let to_json r =
       in
       p "    {\"name\": \"%s\", \"pattern\": \"%s\", \"seed\": %d, \
          \"verdict\": \"%s\", \"detail\": \"%s\"%s}%s\n"
-        (json_escape cr.cr_name)
+        (Fsketch.Export.escape cr.cr_name)
         (Gen.pattern_name cr.cr_pattern)
         cr.cr_seed
         (Check.verdict_name cr.cr_verdict)
-        (json_escape (Check.verdict_to_string cr.cr_verdict))
+        (Fsketch.Export.escape (Check.verdict_to_string cr.cr_verdict))
         shrunk
         (if i = List.length fails - 1 then "" else ","))
     fails;

@@ -1,7 +1,7 @@
 (* Greedy scenario shrinking.
 
-   Whatever a case got wrong — wrong or missing root cause, engine
-   divergence, pipeline crash — the shrinker strips padding one step at
+   Whatever a case got wrong — wrong or missing root cause, no
+   failure, pipeline crash — the shrinker strips padding one step at
    a time, keeping only reductions that reproduce the *identical*
    verdict (the payloads are normalized to source lines, so "identical"
    is meaningful across reductions).  Padding removal strictly

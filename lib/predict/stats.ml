@@ -167,8 +167,8 @@ let f_interval ?(beta = beta_default) ?(delta = delta_default)
    [Predictor.compare]) is a total order over distinct predictors --
    so [Acc.rank] is bit-identical to [rank] over the same
    observations, in any accumulation or merge order.  The retained
-   path stays in the tree as the reference oracle (differential-tested
-   like [Exec.Refinterp]). *)
+   path stays in the tree as the reference oracle, differential-tested
+   against this one. *)
 
 module Acc = struct
   (* Per-predictor cell: the two counters [rank] needs, plus a

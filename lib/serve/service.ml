@@ -811,32 +811,32 @@ let submit t spec =
 
 (* Book one session's exit — diagnosis or typed failure — into the
    completion list, the ledger and the journal, auditing against any
-   digest the recovery replay expects for this ticket. *)
-let complete t round a result =
+   digest the recovery replay expects for this ticket.  A session that
+   failed to start books here from its queue entry, with no slots. *)
+let complete t round ~id ~name ~fp ~admitted_round ~t0 ~slots result =
   let digest = result_digest result in
-  (match Hashtbl.find_opt t.expected a.a_id with
+  (match Hashtbl.find_opt t.expected id with
    | Some d ->
-     Hashtbl.remove t.expected a.a_id;
+     Hashtbl.remove t.expected id;
      if d <> digest then t.divergences <- t.divergences + 1
    | None -> ());
   (match t.triage with
-   | Some tri when a.a_fp <> 0 ->
+   | Some tri when fp <> 0 ->
      (* Freeze the cluster (so near-future duplicates keep coalescing)
         or drop it on a typed failure (duplicates of a failed
         diagnosis deserve a fresh attempt). *)
-     Triage.completed tri ~fp:a.a_fp ~id:a.a_id ~round ~digest
-       ~ok:(Result.is_ok result)
+     Triage.completed tri ~fp ~id ~round ~digest ~ok:(Result.is_ok result)
    | _ -> ());
-  jrnl t (Journal.Completed { id = a.a_id; digest });
+  jrnl t (Journal.Completed { id; digest });
   t.completions <-
     {
-      c_id = a.a_id;
-      c_name = a.a_name;
+      c_id = id;
+      c_name = name;
       c_result = result;
-      c_admitted_round = a.a_admitted_round;
+      c_admitted_round = admitted_round;
       c_completed_round = round;
-      c_slots = a.a_slots;
-      c_wall_s = Unix.gettimeofday () -. a.a_t0;
+      c_slots = slots;
+      c_wall_s = Unix.gettimeofday () -. t0;
     }
     :: t.completions;
   t.completed <- t.completed + 1;
@@ -844,8 +844,12 @@ let complete t round a result =
   | Error _ -> t.failed <- t.failed + 1
   | Ok _ -> ()
 
+let complete_active t round a result =
+  complete t round ~id:a.a_id ~name:a.a_name ~fp:a.a_fp
+    ~admitted_round:a.a_admitted_round ~t0:a.a_t0 ~slots:a.a_slots result
+
 let fail t round a reason detail =
-  complete t round a
+  complete_active t round a
     (Error { sf_reason = reason; sf_detail = detail; sf_strikes = a.a_strikes })
 
 let finalize t round a =
@@ -854,7 +858,7 @@ let finalize t round a =
   | Session.Finished -> (
     match Session.result a.a_session with
     | d ->
-      complete t round a (Ok d);
+      complete_active t round a (Ok d);
       false
     | exception e ->
       fail t round a Crashed (Printexc.to_string e);
@@ -928,12 +932,6 @@ let step t =
               (match lane with Fresh_lane -> t.queue | Recur_lane -> t.rqueue)
           in
           let sp = p.p_spec in
-          let session =
-            Session.create ~config:sp.sp_config ~ingest:sp.sp_ingest
-              ?oracle:sp.sp_oracle ~id:p.p_id ~bug_name:sp.sp_name
-              ~failure_type:sp.sp_failure_type ~program:sp.sp_program
-              ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
-          in
           let qwait = max 0 (round - 1 - p.p_round) in
           (match lane with
            | Fresh_lane ->
@@ -942,22 +940,38 @@ let step t =
            | Recur_lane ->
              t.recur_admitted <- t.recur_admitted + 1;
              t.recur_wait <- max t.recur_wait qwait);
-          t.active <-
-            t.active
-            @ [
-                {
-                  a_id = p.p_id;
-                  a_name = sp.sp_name;
-                  a_lane = lane;
-                  a_fp = p.p_fp;
-                  a_session = session;
-                  a_admitted_round = round;
-                  a_t0 = Unix.gettimeofday ();
-                  a_last_served = round - 1;
-                  a_slots = 0;
-                  a_strikes = 0;
-                };
-              ];
+          (match
+             Session.create ~config:sp.sp_config ~ingest:sp.sp_ingest
+               ?oracle:sp.sp_oracle ~id:p.p_id ~bug_name:sp.sp_name
+               ~failure_type:sp.sp_failure_type ~program:sp.sp_program
+               ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
+           with
+           | session ->
+             t.active <-
+               t.active
+               @ [
+                   {
+                     a_id = p.p_id;
+                     a_name = sp.sp_name;
+                     a_lane = lane;
+                     a_fp = p.p_fp;
+                     a_session = session;
+                     a_admitted_round = round;
+                     a_t0 = Unix.gettimeofday ();
+                     a_last_served = round - 1;
+                     a_slots = 0;
+                     a_strikes = 0;
+                   };
+                 ]
+           | exception e ->
+             (* A session that cannot start (an invalid config, say)
+                completes [Crashed] now; raising here would wedge every
+                later step, the recovered service's included. *)
+             complete t round ~id:p.p_id ~name:sp.sp_name ~fp:p.p_fp
+               ~admitted_round:round ~t0:(Unix.gettimeofday ()) ~slots:0
+               (Error
+                  { sf_reason = Crashed; sf_detail = Printexc.to_string e;
+                    sf_strikes = 0 }));
           admit ()
     in
     admit ();

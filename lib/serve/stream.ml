@@ -73,8 +73,8 @@ let case_spec ?(early_exit = true) ?(tweak = Fun.id) ?oracle ~name
     sp_case = Some case;
   }
 
-(* [None] when the case is not diagnosable (engine divergence, or the
-   target failure never manifests in the probe window). *)
+(* [None] when the case is not diagnosable: the target failure never
+   manifests in the probe window. *)
 let fuzz_spec ?early_exit ?faults ?tweak ~name (case : Fuzz.Gen.case) =
   let case =
     match faults with

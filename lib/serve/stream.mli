@@ -32,9 +32,9 @@ val case_spec :
   Exec.Failure.report ->
   Service.spec
 
-(** {!case_spec} after {!Fuzz.Check.prepare}'s probe stages; [None]
-    when the case is not diagnosable (engine divergence, or no target
-    failure in the probe window). *)
+(** {!case_spec} after {!Fuzz.Check.prepare}'s target probe; [None]
+    when the case is not diagnosable (no target failure in the probe
+    window). *)
 val fuzz_spec :
   ?early_exit:bool ->
   ?faults:Faults.Fault.rates * int ->

@@ -290,6 +290,16 @@ let infinite =
         ];
     ]
 
+(* Known-diagnosable fuzz (pattern, seed) pairs: the seeds behind the
+   checked-in corpus, one per taxonomy entry. *)
+let viable_seeds =
+  Fuzz.Gen.
+    [
+      (RWR, 91052412); (WWR, 187278384); (RWW, 801216856);
+      (WRW, 207472549); (WW, 856513169); (WR, 293615293);
+      (RW, 783676841); (Branch_bug, 591480616); (Value_bug, 489017093);
+    ]
+
 let run ?hooks ?counters ?max_steps ?record_gt ?preempt_prob ?(args = [])
     ?(seed = 42) program =
   Exec.Interp.run ?hooks ?counters ?max_steps ?record_gt ?preempt_prob program

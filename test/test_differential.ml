@@ -1,7 +1,7 @@
 (* Differential testing of the two execution engines.
 
    [Exec.Interp] runs the lowered form ([Ir.Lowered], PR 2);
-   [Exec.Refinterp] preserves the original engine that interprets
+   [Tsupport.Refinterp] preserves the original engine that interprets
    [Ir.Types.program] directly.  The lowering pass is only a valid
    optimisation if the two are bit-identical on every observable:
    outcome (including the full failure report), printed output, step
@@ -12,7 +12,8 @@
    plan.  This suite asserts exactly that over the whole Bugbase --
    whose entries exercise every failure kind, locks, spawns and
    preemption -- plus generated random programs, across several
-   scheduling seeds. *)
+   scheduling seeds, and the fuzz kernels on the clients the fuzz
+   pipeline runs first. *)
 
 module I = Exec.Interp
 
@@ -84,7 +85,7 @@ let check_engines ?(tracing = Bare) name ?preempt_prob program workload =
   in
   let r_ref, c_ref, pre_ref, p_ref, w_ref =
     run (fun ~hooks ~counters ?preempt_prob ~record_gt p w ->
-        Exec.Refinterp.run ~hooks ~counters ?preempt_prob ~record_gt p w)
+        Tsupport.Refinterp.run ~hooks ~counters ?preempt_prob ~record_gt p w)
   in
   let r_low, c_low, pre_low, p_low, w_low =
     run (fun ~hooks ~counters ?preempt_prob ~record_gt p w ->
@@ -186,7 +187,17 @@ let plan_cases =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Generated random programs: single-threaded and racy two-worker. *)
+(* Generated random programs: single-threaded and racy two-worker; and
+   the fuzz kernels.  The kernels are every case of the seed-42
+   campaign (a superset of the cases the fuzz campaigns of
+   [dune build @check] check) and the corpus seeds, each run on
+   clients 0 and 1 under the case's preemption probability. *)
+
+let fuzz_kernels () =
+  Fuzz.Runner.cases ~seed:42 ~count:50 ()
+  @ List.map
+      (fun (pat, seed) -> Fuzz.Gen.generate pat seed)
+      Tsupport.Programs.viable_seeds
 
 let gen_cases =
   [
@@ -215,6 +226,17 @@ let gen_cases =
                   (I.workload ~args:[ Exec.Value.VInt 3 ] seed))
               seeds)
           [ 5; 21; 77 ]);
+    Alcotest.test_case "fuzz kernels, traced" `Quick (fun () ->
+        List.iter
+          (fun (case : Fuzz.Gen.case) ->
+            List.iter
+              (fun c ->
+                check_engines ~tracing:Full
+                  (Printf.sprintf "%s/client %d" case.c_name c)
+                  ~preempt_prob:case.c_preempt case.c_program
+                  (Fuzz.Gen.workload_of case c))
+              [ 0; 1 ])
+          (fuzz_kernels ()));
   ]
 
 (* ------------------------------------------------------------------ *)

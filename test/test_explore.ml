@@ -5,7 +5,7 @@
 
 open Tsupport.Programs
 module I = Exec.Interp
-module E = Exec.Explore
+module E = Tsupport.Explore
 
 let explore_tests =
   [

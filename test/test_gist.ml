@@ -34,10 +34,10 @@ let first_failure =
       (fun () ->
         let bug = Bugbase.Pbzip2.bug in
         match
-          Gist.Server.first_failure ~preempt_prob:bug.preempt_prob bug.program
+          I.first_failure ~preempt_prob:bug.preempt_prob bug.program
             bug.workload_of
         with
-        | Some rep ->
+        | Some (_, rep) ->
           Alcotest.(check bool) "a crash kind" true
             (List.mem
                (Exec.Failure.kind_tag rep.kind)
@@ -52,10 +52,10 @@ let first_failure =
           I.workload ~args:[ Exec.Value.VInt ((c mod 7) + 1) ] c
         in
         match
-          Gist.Server.first_failure ~max_runs:50 program workload_of
+          I.first_failure ~max_runs:50 program workload_of
         with
         | None -> ()
-        | Some rep ->
+        | Some (_, rep) ->
           Alcotest.failf "unexpected failure: %s"
             (Exec.Failure.report_to_string rep));
     Alcotest.test_case "signatures separate distinct failure modes" `Quick

@@ -177,25 +177,22 @@ let corpus_cases =
      | Error e -> Alcotest.failf "corpus load: %s" e)
 
 let corpus_spec (case : Fuzz.Gen.case) =
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       Some
-         {
-           Svc.sp_name = case.Fuzz.Gen.c_name;
-           sp_failure_type =
-             Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = Fuzz.Check.config_of case;
-           sp_ingest = S.Streaming;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-    sp_case = None;
-         })
+  match Fuzz.Check.prepare case with
+  | Fuzz.Check.Decided _ -> None
+  | Fuzz.Check.Diagnose failure ->
+    Some
+      {
+        Svc.sp_name = case.Fuzz.Gen.c_name;
+        sp_failure_type =
+          Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+        sp_config = Fuzz.Check.config_of case;
+        sp_ingest = S.Streaming;
+        sp_oracle = None;
+        sp_program = case.Fuzz.Gen.c_program;
+        sp_workload_of = Fuzz.Gen.workload_of case;
+        sp_failure = failure;
+        sp_case = None;
+      }
 
 let corpus_through_recovery () =
   let specs = List.filter_map corpus_spec (Lazy.force corpus_cases) in
@@ -588,6 +585,62 @@ let containment_tests =
           st.Svc.st_submitted
           (st.Svc.st_completed + st.Svc.st_rejected);
         Alcotest.(check int) "the failure is booked" 1 st.Svc.st_failed);
+    Alcotest.test_case
+      "a session that fails at admission completes Crashed; the service \
+       survives a kill"
+      `Quick (fun () ->
+        let good =
+          bugbase_spec ~faults:false
+            (Option.get (Bugbase.Registry.find "Apache-1"))
+        in
+        let bad =
+          { good with
+            Svc.sp_name = "bad";
+            sp_config = { good.Svc.sp_config with Gist.Config.sigma0 = 0 } }
+        in
+        let specs = [ bad; good ] in
+        let reference = D.one_shot good in
+        let svc = Svc.create ~sconfig:tight () in
+        List.iter (fun sp -> ignore (Svc.submit svc sp : _ result)) specs;
+        (* The admission round, then the crash image a kill after it
+           leaves behind. *)
+        ignore (Svc.step svc : bool);
+        let bytes = Svc.journal_bytes svc in
+        Svc.drain svc;
+        let summary svc =
+          List.map
+            (fun (c : Svc.completion) ->
+              match c.Svc.c_result with
+              | Ok d ->
+                D.compare c.Svc.c_name reference d;
+                (c.Svc.c_name, "ok " ^ string_of_int (Svc.diagnosis_digest d))
+              | Error f ->
+                Alcotest.(check string) "bad: crashed" "crashed"
+                  (Svc.failure_reason_label f.Svc.sf_reason);
+                Alcotest.(check int) "bad: no slots" 0 c.Svc.c_slots;
+                (c.Svc.c_name, Svc.session_failure_to_string f))
+            (Svc.completions svc)
+        in
+        let live = summary svc in
+        Alcotest.(check (list string)) "both sessions completed"
+          [ "bad"; good.Svc.sp_name ] (List.map fst live);
+        let detail = List.assoc "bad" live in
+        Alcotest.(check bool)
+          ("config error in the detail: " ^ detail)
+          true
+          (Astring.String.is_infix ~affix:"sigma0" detail);
+        let resolve name =
+          List.find_opt (fun (sp : Svc.spec) -> sp.Svc.sp_name = name) specs
+        in
+        match Svc.recover ~resolve bytes with
+        | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e)
+        | Ok recovered ->
+          Svc.drain recovered;
+          Alcotest.(check (list (pair string string)))
+            "recovered completions = live completions" live
+            (summary recovered);
+          Alcotest.(check int) "no replay divergences" 0
+            (Svc.stats recovered).Svc.st_divergences);
     Alcotest.test_case "deadline eviction books a typed timeout" `Quick
       (fun () ->
         (* One slot per round against a bug needing hundreds: the

@@ -439,25 +439,22 @@ let corpus_cases =
      | Error e -> Alcotest.failf "corpus load: %s" e)
 
 let corpus_spec (case : Fuzz.Gen.case) =
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       Some
-         {
-           Serve.Service.sp_name = case.Fuzz.Gen.c_name;
-           sp_failure_type =
-             Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = Fuzz.Check.config_of case;
-           sp_ingest = S.Streaming;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-    sp_case = None;
-         })
+  match Fuzz.Check.prepare case with
+  | Fuzz.Check.Decided _ -> None
+  | Fuzz.Check.Diagnose failure ->
+    Some
+      {
+        Serve.Service.sp_name = case.Fuzz.Gen.c_name;
+        sp_failure_type =
+          Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+        sp_config = Fuzz.Check.config_of case;
+        sp_ingest = S.Streaming;
+        sp_oracle = None;
+        sp_program = case.Fuzz.Gen.c_program;
+        sp_workload_of = Fuzz.Gen.workload_of case;
+        sp_failure = failure;
+        sp_case = None;
+      }
 
 let corpus =
   [

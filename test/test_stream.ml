@@ -3,8 +3,8 @@
    The streaming server folds each accepted report into per-predictor
    sufficient statistics the moment validation accepts it and then
    drops the report; the retained mode keeps every accepted report and
-   replays the original batch refinement loop (the reference oracle,
-   kept the way [Exec.Refinterp] is).  The two must produce
+   replays the original batch refinement loop (the reference
+   oracle).  The two must produce
    bit-identical diagnoses — sketch, iteration trace, fleet ledger,
    simulated online time, every float — over the whole Bugbase and
    over generated fuzz bugs, with and without the injected-fault
