@@ -25,8 +25,6 @@ type t = {
   fault_rates : Faults.Fault.rates; (* injected fleet faults (zero = off) *)
   fault_seed : int;          (* fault-injection stream, independent of run seeds *)
   max_retries : int;         (* re-dispatches per client slot before quarantine *)
-  retry_backoff_s : float;   (* base of the exponential retry backoff (simulated) *)
-  straggler_timeout_s : float; (* give-up deadline per dispatch (simulated) *)
   quorum_frac : float;       (* valid-report fraction below which an iteration degrades *)
   early_exit : bool;         (* stop gathering once the top predictor separates *)
   separation_delta : float;  (* error rate of the separation confidence bound *)
@@ -51,8 +49,6 @@ let default =
     fault_rates = Faults.Fault.zero;
     fault_seed = 1;
     max_retries = 2;
-    retry_backoff_s = 0.5;
-    straggler_timeout_s = 5.0;
     quorum_frac = 0.5;
     early_exit = false;
     separation_delta = 0.05;

@@ -28,10 +28,6 @@ type t = {
       (** seeds the fault-injection stream, independent of run seeds *)
   max_retries : int;
       (** re-dispatches per client slot before the slot is quarantined *)
-  retry_backoff_s : float;
-      (** base of the exponential retry backoff, in simulated fleet time *)
-  straggler_timeout_s : float;
-      (** per-dispatch give-up deadline, in simulated fleet time *)
   quorum_frac : float;
       (** valid-report fraction below which an iteration degrades *)
   early_exit : bool;

@@ -2,7 +2,7 @@
    reference.  Every Bugbase bug is diagnosed twice -- once with
    [Gist.Config.default] (the exhaustive oracle) and once with
    [Gist.Config.adaptive] (sequential stopping rule on) -- and the two
-   runs are compared on clients dispatched, online fleet time and the
+   runs are compared on clients dispatched, iterations and the
    identity of the top-ranked predictor.
 
    The budget the stopping rule saves is then reallocated to the
@@ -15,10 +15,8 @@
 type row = {
   r_bug : string;
   r_exh_dispatched : int;
-  r_exh_online_s : float;
   r_exh_iterations : int;
   r_ad_dispatched : int;
-  r_ad_online_s : float;
   r_ad_iterations : int;
   r_ad_early_iters : int;   (* iterations cut short at a checkpoint *)
   r_converged : bool;       (* adaptive run stopped by the rule *)
@@ -100,10 +98,8 @@ let compare_bug ?pool ~base (bug : Bugbase.Common.t) =
       ( {
           r_bug = bug.name;
           r_exh_dispatched = e.diagnosis.fleet.f_dispatched;
-          r_exh_online_s = e.diagnosis.online_time_s;
           r_exh_iterations = e.diagnosis.iterations;
           r_ad_dispatched = a.diagnosis.fleet.f_dispatched;
-          r_ad_online_s = a.diagnosis.online_time_s;
           r_ad_iterations = a.diagnosis.iterations;
           r_ad_early_iters = early_iters a.diagnosis;
           r_converged = Gist.Server.converged a.diagnosis;

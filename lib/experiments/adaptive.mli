@@ -6,10 +6,8 @@
 type row = {
   r_bug : string;
   r_exh_dispatched : int;
-  r_exh_online_s : float;
   r_exh_iterations : int;
   r_ad_dispatched : int;
-  r_ad_online_s : float;
   r_ad_iterations : int;
   r_ad_early_iters : int;
       (** adaptive iterations cut short at a checkpoint or converged *)

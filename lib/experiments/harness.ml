@@ -7,7 +7,6 @@ type bug_result = {
   failure : Exec.Failure.report;
   diagnosis : Gist.Server.diagnosis;
   accuracy : Fsketch.Accuracy.result;
-  wall_time_s : float;
 }
 
 let diagnose_bug ?(config = Gist.Config.default) ?pool
@@ -15,7 +14,6 @@ let diagnose_bug ?(config = Gist.Config.default) ?pool
   match Bugbase.Common.find_target_failure bug with
   | None -> None
   | Some (_, failure) ->
-    let t0 = Unix.gettimeofday () in
     let config = { config with Gist.Config.preempt_prob = bug.preempt_prob } in
     (* [with_oracle:false] models unattended production: no developer
        stop signal, AsT runs until sigma covers the slice (or, with
@@ -29,14 +27,7 @@ let diagnose_bug ?(config = Gist.Config.default) ?pool
     let accuracy =
       Fsketch.Accuracy.of_sketch diagnosis.sketch ~ideal:(Bugbase.Common.ideal bug)
     in
-    Some
-      {
-        bug;
-        failure;
-        diagnosis;
-        accuracy;
-        wall_time_s = Unix.gettimeofday () -. t0;
-      }
+    Some { bug; failure; diagnosis; accuracy }
 
 (* One diagnosis per bug is independent of the others, so the fleet
    fans out across the shared pool (each bug's own client loop then
@@ -66,7 +57,3 @@ let ideal_size (r : bug_result) =
   let ideal = Bugbase.Common.ideal r.bug in
   ( Ir.Program.source_loc_count r.bug.program ideal.i_iids,
     List.length ideal.i_iids )
-
-let fmt_mmss s =
-  let total = int_of_float s in
-  Printf.sprintf "%dm:%02ds" (total / 60) (total mod 60)

@@ -7,7 +7,6 @@ type bug_result = {
   failure : Exec.Failure.report;
   diagnosis : Gist.Server.diagnosis;
   accuracy : Fsketch.Accuracy.result;
-  wall_time_s : float;
 }
 
 (** Diagnose one bug end-to-end with its root-cause oracle; [None] when
@@ -38,6 +37,3 @@ val mean : float list -> float
 val sketch_size : bug_result -> int * int
 
 val ideal_size : bug_result -> int * int
-
-(** "1m:35s"-style formatting for the Table 1 latency column. *)
-val fmt_mmss : float -> string

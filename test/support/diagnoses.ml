@@ -4,7 +4,7 @@
    The ledger pins every diagnosis of a fixed case set across commits:
    one line per case and regime holding [Serve.Service.diagnosis_digest],
    which folds every compared field of a diagnosis (floats by their
-   bits) except the two host-time ones.  Cases are the Bugbase bugs
+   bits).  Cases are the Bugbase bugs
    (with their oracle and preempt probability), the corpus
    reproducers and the seed-42 fuzz campaign's cases; regimes are a
    reliable fleet and 10% spread faults (fault seed 42), each with
@@ -22,10 +22,9 @@ let one_shot (sp : Svc.spec) =
     ~program:sp.sp_program ~workload_of:sp.sp_workload_of
     ~failure:sp.sp_failure ()
 
-(* Two diagnoses are bit-identical in every field but the two
-   host-time ones ([offline_time_s] and [online_time_s]): sketch,
-   iteration and run counts, sigma, tracked set, overhead (by its
-   bits), iteration trace and fleet ledger. *)
+(* Two diagnoses are bit-identical: sketch, iteration and run counts,
+   sigma, tracked set, overhead (by its bits), iteration trace and
+   fleet ledger. *)
 let compare name (a : S.diagnosis) (b : S.diagnosis) =
   Alcotest.(check string)
     (name ^ ": sketch")

@@ -3,7 +3,7 @@
 
    The crash-only contract: kill the service after ANY round, recover
    from the journal bytes, and every diagnosis the recovered service
-   goes on to produce is bit-identical (host-time fields aside) to the
+   goes on to produce is bit-identical to the
    uninterrupted run's — which test_serve already pins to the one-shot
    [Gist.Server.diagnose].  The suite holds that contract by killing
    at EVERY round boundary over the whole Bugbase and the 50-bug
@@ -396,8 +396,7 @@ let drain_replay ~triage () =
 
 (* ------------------------------------------------------------------ *)
 (* The completion audit digest covers every field the diagnosis
-   differential compares (host time aside): changing any one of them
-   moves it. *)
+   differential compares: changing any one of them moves it. *)
 
 let digest_covers_every_field () =
   let b = Option.get (Bugbase.Registry.find "Pbzip2") in

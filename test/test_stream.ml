@@ -6,12 +6,8 @@
    replays the original batch refinement loop (the reference
    oracle).  The two must produce
    bit-identical diagnoses — sketch, iteration trace, fleet ledger,
-   simulated online time, every float — over the whole Bugbase and
-   over generated fuzz bugs, with and without the injected-fault
-   regime.  The only excluded fields are the two time measurements
-   ([offline_time_s], and [online_time_s], which folds real server
-   CPU time into the simulated delay): they measure the host, not the
-   pipeline. *)
+   every float — over the whole Bugbase and over generated fuzz bugs,
+   with and without the injected-fault regime. *)
 
 module S = Gist.Server
 module D = Tsupport.Diagnoses
