@@ -144,7 +144,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (2 + (c mod 4)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 20; 21; 23; 24; 25; 26 ];
     root_lines = [ 20; 24; 25; 26 ];
     target_kind_tag = "segfault";

@@ -130,7 +130,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (3 + (c mod 3)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 30; 33; 14; 16 ];
     root_lines = [ 30; 33; 14; 16 ];
     target_kind_tag = "assert";

@@ -125,7 +125,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (1 + (c mod 5)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 80; 82; 83; 84 ];
     root_lines = [ 82; 83; 84 ];
     target_kind_tag = "double-free";

@@ -140,7 +140,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (3 + (c mod 4)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 10; 13; 73; 62; 64; 60; 61; 70; 51; 53; 71; 72 ];
     root_lines = [ 70; 51; 53; 72 ];
     target_kind_tag = "use-after-free";

@@ -119,10 +119,6 @@ let ideal (bug : t) : Fsketch.Accuracy.ideal =
 
 let root_cause_iids (bug : t) = iids_for_lines bug bug.root_lines
 
-(* Deterministic workload seed derivation: spreads client indexes
-   across seeds without clustering. *)
-let seed_of_client c = (c * 2654435761) land 0x3FFFFFFF
-
 (* Does a report match the Table 1 failure this bug models? *)
 let is_target_failure (bug : t) (rep : Exec.Failure.report) =
   Exec.Failure.kind_tag rep.kind = bug.target_kind_tag

@@ -40,9 +40,6 @@ val ideal : t -> Fsketch.Accuracy.ideal
 
 val root_cause_iids : t -> iid list
 
-(** Deterministic client-index to seed spreading. *)
-val seed_of_client : int -> int
-
 (** Does a report match the Table 1 failure this bug models
     (kind tag + manifestation line)? *)
 val is_target_failure : t -> Exec.Failure.report -> bool

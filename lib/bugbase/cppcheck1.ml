@@ -210,7 +210,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VStr inputs.(c mod Array.length inputs) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 50; 10; 25; 51; 36; 30; 31; 32; 33 ];
     root_lines = [ 31; 32; 33 ];
     target_kind_tag = "segfault";

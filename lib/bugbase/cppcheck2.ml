@@ -200,7 +200,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VStr inputs.(c mod Array.length inputs) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 40; 31; 32; 33; 34; 35; 36; 37; 38 ];
     root_lines = [ 33; 35; 37; 38 ];
     target_kind_tag = "div-by-zero";

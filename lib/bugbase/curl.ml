@@ -219,7 +219,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VStr inputs.(c mod Array.length inputs) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 20; 24; 30; 31 ];
     root_lines = [ 24; 30; 31 ];
     target_kind_tag = "segfault";

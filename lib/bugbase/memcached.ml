@@ -132,7 +132,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (2 + (c mod 3)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 20; 40; 44; 45 ];
     root_lines = [ 40; 44; 45 ];
     target_kind_tag = "assert";

@@ -190,7 +190,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (2 + (c mod 3)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 20; 21; 35; 36; 50; 51 ];
     root_lines = [ 21; 35; 36; 50; 51 ];
     target_kind_tag = "segfault";

@@ -150,7 +150,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (1 + (c mod 3)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 20; 21; 30; 51; 34; 35 ];
     root_lines = [ 30; 51; 34; 35 ];
     target_kind_tag = "assert";

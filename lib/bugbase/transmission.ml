@@ -113,7 +113,7 @@ let bug : Common.t =
       (fun c ->
         Exec.Interp.workload
           ~args:[ Exec.Value.VInt (2 + (c mod 3)) ]
-          (Common.seed_of_client c));
+          (Exec.Interp.seed_of_client c));
     ideal_lines = [ 10; 11; 21; 22; 24; 25; 13; 14 ];
     root_lines = [ 21; 22; 13; 14 ];
     target_kind_tag = "assert";

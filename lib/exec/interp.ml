@@ -45,6 +45,9 @@ type workload = { args : Value.t list; seed : int }
 
 let workload ?(args = []) seed = { args; seed }
 
+(* Spreads client indexes across seeds without clustering. *)
+let seed_of_client c = (c * 2654435761) land 0x3FFFFFFF
+
 (* A globally sequenced shared-memory access: the evaluation's ground
    truth (used to compute ideal sketches and to feed the record/replay
    baseline); Gist itself only sees the subset captured by watchpoints. *)

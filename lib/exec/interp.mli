@@ -48,6 +48,10 @@ type workload = { args : Value.t list; seed : int }
 
 val workload : ?args:Value.t list -> int -> workload
 
+(** Deterministic client-index to workload seed spreading, shared by
+    every fleet model (Bugbase bugs and fuzz cases). *)
+val seed_of_client : int -> int
+
 (** A globally sequenced shared-memory access: the evaluation's ground
     truth (ideal sketches, record/replay); Gist itself only sees the
     subset captured by watchpoints. *)

@@ -270,13 +270,11 @@ type case = {
   c_faults : (Faults.Fault.rates * int) option; (* fleet faults (rates, seed) *)
 }
 
-let seed_of_client c = (c * 2654435761) land 0x3FFFFFFF
-
 let workload_of case c =
   let cyc = Array.of_list case.c_args_cycle in
   Exec.Interp.workload
     ~args:[ Exec.Value.VInt cyc.(c mod Array.length cyc) ]
-    (seed_of_client c)
+    (Exec.Interp.seed_of_client c)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed source-line map of the injected kernels ("fuzz.c").

@@ -85,7 +85,6 @@ type case = {
 
 (** The deterministic per-client workload: client [c] gets argument
     [cycle.(c mod length)] and a seed derived from [c]. *)
-val seed_of_client : int -> int
 val workload_of : case -> int -> Exec.Interp.workload
 
 val scenario : ?pad_budget:int -> pattern -> int -> scenario

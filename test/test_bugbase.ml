@@ -77,7 +77,7 @@ let determinism =
             Alcotest.(check int) "seed" a.I.seed b.I.seed)
           bugs);
     Alcotest.test_case "client seeds are spread" `Quick (fun () ->
-        let seeds = List.init 100 Bugbase.Common.seed_of_client in
+        let seeds = List.init 100 Exec.Interp.seed_of_client in
         Alcotest.(check int) "distinct" 100
           (List.length (List.sort_uniq compare seeds)));
   ]
