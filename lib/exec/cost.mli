@@ -30,9 +30,6 @@ val wp_extra_cycles : t -> float
 val rr_extra_cycles : t -> float
 val sw_trace_extra_cycles : t -> float
 
-(** [percent ~extra ~base] is [100 * extra / base] (0 when base is 0). *)
-val percent : extra:float -> base:float -> float
-
 (** Per-layer overhead percentages for one run;
     [gist_overhead_percent] is the PT + watchpoint total. *)
 

@@ -2,12 +2,4 @@
     +data-flow tracking to overall sketch accuracy, measured by staging
     the techniques. *)
 
-type row = {
-  name : string;
-  static_only : float;
-  with_cf : float;
-  full : float;
-}
-
-val rows : unit -> row list
 val print : unit -> unit

@@ -1,14 +1,4 @@
 (** Fig. 12: tradeoff between the initial tracked slice size sigma_0
     and the resulting accuracy and root-cause-diagnosis latency. *)
 
-val sigmas : int list
-
-type point = {
-  sigma0 : int;
-  avg_accuracy : float;
-  avg_latency : float;  (** failure recurrences *)
-  avg_overhead : float;
-}
-
-val points : unit -> point list
 val print : unit -> unit

@@ -1,16 +1,4 @@
 (** Fig. 9: accuracy of Gist, broken into relevance and ordering
     (paper averages: 92% / 100%, overall 96%). *)
 
-type row = {
-  name : string;
-  relevance : float;
-  ordering : float;
-  overall : float;
-}
-
-val rows : unit -> row list
-
-(** (average relevance, average ordering, average overall). *)
-val averages : unit -> float * float * float
-
 val print : unit -> unit

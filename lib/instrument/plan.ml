@@ -83,18 +83,3 @@ let id t =
        (fun h (iid, acts) ->
          List.fold_left (fun h a -> mix h (action_tag a)) (mix h iid) acts)
        (mix h 0x52)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>plan: tracked=[%a] wp=[%a]@,"
-    Fmt.(list ~sep:(any " ") int) t.tracked
-    Fmt.(list ~sep:(any " ") int) t.wp_targets;
-  Hashtbl.fold (fun iid acts acc -> (iid, acts) :: acc) t.actions []
-  |> List.sort compare
-  |> List.iter (fun (iid, acts) ->
-      Fmt.pf ppf "  @%d: %a@," iid
-        Fmt.(list ~sep:(any ",") (fun ppf -> function
-           | Pt_stop -> Fmt.string ppf "pt-stop"
-           | Pt_start -> Fmt.string ppf "pt-start"
-           | Wp_arm -> Fmt.string ppf "wp-arm"))
-        acts);
-  Fmt.pf ppf "@]"

@@ -50,5 +50,3 @@ val n_actions : t -> int
     watchpoint targets).  Clients echo it in their report envelope so
     the server can reject reports produced under a stale plan. *)
 val id : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ let global ?(init = Imm 0) gname = { gname; init }
 (* Operand shorthands. *)
 let r x = Reg x
 let im n = Imm n
-let str s = Str s
 
 (* Expression shorthands. *)
 let ( +% ) a b = Bin (Add, a, b)
@@ -33,7 +32,6 @@ let ( >% ) a b = Bin (Gt, a, b)
 let ( >=% ) a b = Bin (Ge, a, b)
 let ( &&% ) a b = Bin (And, a, b)
 let ( ||% ) a b = Bin (Or, a, b)
-let mov a = Mov a
 
 (* A per-source-file instruction factory. Typical use:
 

@@ -17,9 +17,6 @@ val r : reg -> operand
 (** [im n] is the immediate operand [Imm n]. *)
 val im : int -> operand
 
-(** [str s] is the string-literal operand [Str s]. *)
-val str : string -> operand
-
 (** Expression shorthands: [a +% b], [a <% b], ... build {!Types.expr}
     values from operands. *)
 
@@ -35,7 +32,6 @@ val ( >% ) : operand -> operand -> expr
 val ( >=% ) : operand -> operand -> expr
 val ( &&% ) : operand -> operand -> expr
 val ( ||% ) : operand -> operand -> expr
-val mov : operand -> expr
 
 (** [file f] is a per-source-file instruction factory:
     [let i = Builder.file "pbzip2.c" in

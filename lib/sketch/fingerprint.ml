@@ -84,7 +84,6 @@ let to_int fp = fp
 let equal (a : t) b = a = b
 let compare (a : t) b = Int.compare a b
 let to_hex fp = Printf.sprintf "%012x" (fp land 0xFFFFFFFFFFFF)
-let pp ppf fp = Format.pp_print_string ppf (to_hex fp)
 
 (* ------------------------------------------------------------------ *)
 (* Predictor-pattern canonicalization, for the collision audit and

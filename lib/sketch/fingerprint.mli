@@ -32,8 +32,6 @@ val compare : t -> t -> int
 (** 12 hex digits, the display form used by [serve --status]. *)
 val to_hex : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Predictor patterns}
 
     Canonical source-line rendering of a predictor set: sorted,
