@@ -8,9 +8,9 @@
     session's workload poisoned so its granted thunks raise.
 
     Every decision is a pure function of (campaign seed, round) or
-    (campaign seed, session name, client index) — the same avalanche
-    mix and RNG as {!Fault.draw} — so a chaos campaign is bit-identical
-    at any job count and replayable from its seed. *)
+    (campaign seed, session name, client index), seeded through
+    {!Exec.Rng.mix} like {!Fault.draw}, so a chaos campaign is
+    bit-identical at any job count and replayable from its seed. *)
 
 type kind = Kill | Ckpt_corrupt | Torn_write | Poison
 

@@ -29,7 +29,7 @@ let truncate_packets ~salt packets =
   | [] -> []
   | _ ->
     let n = List.length packets in
-    let rng = Exec.Rng.create (Fault.mix salt 0x7c1) in
+    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x7c1) in
     let keep = Exec.Rng.int rng n in
     fst (split_at keep packets)
 
@@ -40,7 +40,7 @@ let corrupt_packets ~salt ~n_instrs packets =
   match packets with
   | [] -> []
   | _ ->
-    let rng = Exec.Rng.create (Fault.mix salt 0x9e7) in
+    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x9e7) in
     let n = List.length packets in
     let idx = Exec.Rng.int rng n in
     let out_of_range () = n_instrs + 1 + Exec.Rng.int rng 64 in
@@ -58,7 +58,7 @@ let corrupt_traps ~salt ~n_instrs traps =
   match traps with
   | [] -> []
   | _ ->
-    let rng = Exec.Rng.create (Fault.mix salt 0x5b3) in
+    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x5b3) in
     let n = List.length traps in
     let idx = Exec.Rng.int rng n in
     let bad_iid = n_instrs + 1 + Exec.Rng.int rng 64 in
@@ -72,7 +72,7 @@ let corrupt_traps ~salt ~n_instrs traps =
    caught by the envelope checksum).  Both validation layers stay
    exercised under any fault mix. *)
 let wp_corrupt_in_transit ~salt =
-  let rng = Exec.Rng.create (Fault.mix salt 0x3d9) in
+  let rng = Exec.Rng.create (Exec.Rng.mix salt 0x3d9) in
   Exec.Rng.bool rng
 
 (* --- wire-level damage: harm lands on the encoded ring bytes --- *)
@@ -86,7 +86,7 @@ let truncate_wire ~salt bytes =
   let n = String.length bytes in
   if n <= 1 then bytes
   else begin
-    let rng = Exec.Rng.create (Fault.mix salt 0x7c1) in
+    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x7c1) in
     let keep = 1 + Exec.Rng.int rng (n - 1) in
     String.sub bytes 0 keep
   end
@@ -110,7 +110,7 @@ let flip_wire_byte ~salt bytes =
   let n = String.length bytes in
   if n = 0 then bytes
   else begin
-    let rng = Exec.Rng.create (Fault.mix salt 0x6e5) in
+    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x6e5) in
     let idx = Exec.Rng.int rng n in
     let bit = Exec.Rng.int rng 8 in
     let b = Bytes.of_string bytes in

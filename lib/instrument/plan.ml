@@ -66,14 +66,7 @@ let n_actions t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.actions 0
    echo it in their report envelope; the server rejects reports built
    under a plan from a previous iteration. *)
 let id t =
-  let mix h x =
-    let open Int64 in
-    let z = add (of_int h) (mul (of_int ((2 * x) + 1)) 0x9E3779B97F4A7C15L) in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = logxor z (shift_right_logical z 31) in
-    to_int (logand z 0x3FFFFFFFFFFFFFFFL)
-  in
+  let mix h x = Exec.Rng.mix h ((2 * x) + 1) in
   let action_tag = function Pt_stop -> 1 | Pt_start -> 2 | Wp_arm -> 3 in
   let h = List.fold_left mix 17 t.tracked in
   let h = List.fold_left mix (mix h 0x51) t.wp_targets in
