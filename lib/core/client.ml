@@ -30,7 +30,8 @@ let failing r = r.r_signature <> None
 let redact_value (v : Exec.Value.t) =
   match v with
   | Exec.Value.VStr s ->
-    Exec.Value.VStr (Printf.sprintf "str#%08x" (Hashtbl.hash s))
+    let h = Hw.Codec.digest ~key:[] s land 0xFFFFFFFF in
+    Exec.Value.VStr (Printf.sprintf "str#%08x" h)
   | other -> other
 
 let redact_trap (t : Hw.Watchpoint.trap) =

@@ -194,16 +194,23 @@ module Acc = struct
 
   let observations t = t.n_obs
 
-  (* Order-independent run fingerprint: each predictor's structural
-     hash, scrambled so distinct sets do not collide by simple sums,
-     then summed with the outcome bit folded in. *)
-  let scramble h =
-    let h = h * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 29)
+  (* A predictor's hash over its explicit fields: a tag per
+     constructor, iids and the branch bit through [mix], strings
+     through [Codec.digest].  Allocates nothing. *)
+  let predictor_hash (p : Predictor.t) =
+    let mix = Exec.Rng.mix and str s = Hw.Codec.digest ~key:[] s in
+    match p with
+    | Branch_taken (iid, taken) -> mix (mix 1 iid) (Bool.to_int taken)
+    | Data_value (iid, v) -> mix (mix 2 iid) (str v)
+    | Value_range (iid, pred) -> mix (mix 3 iid) (str pred)
+    | Race (pat, a, b) -> mix (mix (mix 4 (str pat)) a) b
+    | Atomicity (pat, a, b, c) -> mix (mix (mix (mix 5 (str pat)) a) b) c
 
+  (* Order-independent run fingerprint: the sum of the predictors'
+     hashes, with the outcome bit folded in. *)
   let obs_fingerprint ~failing preds =
     List.fold_left
-      (fun acc p -> acc + scramble (Hashtbl.hash p))
+      (fun acc p -> acc + predictor_hash p)
       (if failing then 0x2545F4914F6CDD1 else 1)
       preds
 

@@ -266,8 +266,8 @@ let snapshot_parts () =
   (String.sub bytes 0 h, s_id, String.sub bytes (h + 8) (String.length bytes - h - 8))
 
 (* [payload] behind a fresh header and digest for [version] (default:
-   the current one, 3). *)
-let reseal_snapshot ?(version = 3) payload =
+   the current one, 4). *)
+let reseal_snapshot ?(version = 4) payload =
   let header, s_id, _ = snapshot_parts () in
   let magic = W.get_uint (W.reader header) in
   let header =
@@ -433,7 +433,7 @@ let snapshot_tests =
               when v = version -> ()
             | Error e -> Alcotest.failf "refused as %s" (snapshot_error e)
             | Ok _ -> Alcotest.fail "restored"))
-      [ 1; 2 ]
+      [ 1; 2; 3 ]
   @ [
     (* A snapshot ends with its gathering pass: budget, pass-1 summary
        (None, one 0 byte, in pass 1), granted, consumed, stopped,
@@ -564,30 +564,41 @@ let journal_tests =
       (fun (kind, ms) ->
         let payload = List.fold_left mutate (fixture "state") ms in
         journal_total (fixture "journal" ^ journal_frame ~kind payload));
-    (* The state starts with its version varint: one byte, 4.  A
-       version-3 checkpoint is undecodable, so recovery skips it for
-       an older one, and with no older one has nothing to restart
-       from. *)
-    Alcotest.test_case "recover: a version-3 checkpoint is skipped" `Quick
-      (fun () ->
-        let state = fixture "state" in
-        Alcotest.(check int) "state version" 4 (Char.code state.[0]);
-        let v3 = "\003" ^ String.sub state 1 (String.length state - 1) in
-        let journal states =
-          let j = Serve.Journal.create () in
-          List.iteri
-            (fun round state ->
-              Serve.Journal.append j (Serve.Journal.Checkpoint { round; state }))
-            states;
-          Serve.Journal.contents j
-        in
-        (match Svc.recover ~resolve:G.resolve (journal [ state; v3 ]) with
-         | Ok _ -> ()
-         | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e));
-        match Svc.recover ~resolve:G.resolve (journal [ v3 ]) with
-        | Error Svc.No_checkpoint -> ()
-        | Error e -> Alcotest.failf "refused as %s" (Svc.rerror_to_string e)
-        | Ok _ -> Alcotest.fail "recovered from a version-3 checkpoint");
+  ]
+  (* The state starts with its version varint: one byte, 5.  A
+     checkpoint of an older version is undecodable, so recovery skips
+     it for an older one, and with no older one has nothing to restart
+     from. *)
+  @ List.map
+      (fun version ->
+        Alcotest.test_case
+          (Printf.sprintf "recover: a version-%d checkpoint is skipped" version)
+          `Quick (fun () ->
+            let state = fixture "state" in
+            Alcotest.(check int) "state version" 5 (Char.code state.[0]);
+            let old =
+              String.make 1 (Char.chr version)
+              ^ String.sub state 1 (String.length state - 1)
+            in
+            let journal states =
+              let j = Serve.Journal.create () in
+              List.iteri
+                (fun round state ->
+                  Serve.Journal.append j
+                    (Serve.Journal.Checkpoint { round; state }))
+                states;
+              Serve.Journal.contents j
+            in
+            (match Svc.recover ~resolve:G.resolve (journal [ state; old ]) with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "recover: %s" (Svc.rerror_to_string e));
+            match Svc.recover ~resolve:G.resolve (journal [ old ]) with
+            | Error Svc.No_checkpoint -> ()
+            | Error e -> Alcotest.failf "refused as %s" (Svc.rerror_to_string e)
+            | Ok _ ->
+              Alcotest.failf "recovered from a version-%d checkpoint" version))
+      [ 3; 4 ]
+  @ [
     total ~name:"state: arbitrary bytes" ~count:100 QCheck.string recovers;
     total ~name:"state: mutated state behind a valid digest" ~count:150
       mutations (fun ms -> recovers (List.fold_left mutate (fixture "state") ms));
