@@ -41,8 +41,6 @@ type signature = { s_kind : string; s_pc : Ir.Types.iid; s_stack : string list }
 
 let signature r = { s_kind = kind_tag r.kind; s_pc = r.pc; s_stack = r.stack }
 
-let same_failure a b = signature a = signature b
-
 let pp_report ppf r =
   Fmt.pf ppf "%s at pc %d (thread %d), stack: [%s]%s"
     (kind_to_string r.kind) r.pc r.tid

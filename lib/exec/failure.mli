@@ -31,5 +31,4 @@ val kind_to_string : kind -> string
 type signature = { s_kind : string; s_pc : Ir.Types.iid; s_stack : string list }
 
 val signature : report -> signature
-val same_failure : report -> report -> bool
 val report_to_string : report -> string

@@ -40,8 +40,6 @@ let arm t addr =
     true
   end
 
-let disarm t addr = t.slots <- List.filter (fun a -> a <> addr) t.slots
-
 (* The interpreter's mem_access hook. *)
 let on_access t ~tid ~iid ~addr ~rw ~value =
   if watched t addr then begin

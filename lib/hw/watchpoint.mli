@@ -27,8 +27,6 @@ val free_slots : t -> int
     [addr]. *)
 val arm : t -> int -> bool
 
-val disarm : t -> int -> unit
-
 (** The interpreter's [mem_access] hook: records a trap when [addr]
     is watched. *)
 val on_access :

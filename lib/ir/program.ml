@@ -116,7 +116,6 @@ let position_of p iid =
   | None -> invalid "unknown iid %d" iid
 
 let loc_of p iid = (instr_at p iid).loc
-let text_of p iid = (instr_at p iid).text
 
 (* All instructions of a function, in textual order. *)
 let instrs_of_func f =
@@ -124,8 +123,6 @@ let instrs_of_func f =
   |> List.concat_map (fun b -> Array.to_list b.instrs)
 
 let all_instrs p = List.concat_map instrs_of_func p.funcs
-
-let iter_instrs p f = List.iter (fun i -> f i) (all_instrs p)
 
 (* Number of distinct source lines spanned by a set of iids: the
    "source LOC" metric of Table 1. *)

@@ -21,13 +21,11 @@ val find_func : program -> string -> func
 val instr_at : program -> iid -> instr
 val position_of : program -> iid -> position
 val loc_of : program -> iid -> loc
-val text_of : program -> iid -> string
 
 (** All instructions of a function / program, in textual order. *)
 
 val instrs_of_func : func -> instr list
 val all_instrs : program -> instr list
-val iter_instrs : program -> (instr -> unit) -> unit
 
 (** Number of distinct source lines spanned by a set of iids: the
     "source LOC" metric of Table 1. *)

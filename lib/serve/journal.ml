@@ -138,15 +138,6 @@ let save_file path bytes =
   output_string oc bytes;
   close_out oc
 
-let load_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-
 let tear ~n bytes =
   let keep = max 0 (String.length bytes - max 0 n) in
   String.sub bytes 0 keep

@@ -82,7 +82,6 @@ val load : string -> entry list
 (** {2 Files} *)
 
 val save_file : string -> string -> unit
-val load_file : string -> string option
 
 (** {2 Chaos helpers — deterministic damage for the fault harness} *)
 

@@ -154,14 +154,16 @@ let cfg_tests =
         (* blocks: 0 entry, 1 loop, 2 body, 3 out *)
         Alcotest.(check (list int)) "body dep on loop" [ 1 ] deps.(2));
     Alcotest.test_case "find_iid locates instructions" `Quick (fun () ->
-        Ir.Program.iter_instrs prog (fun x ->
+        List.iter
+          (fun (x : Ir.Types.instr) ->
             let pos = Ir.Program.position_of prog x.iid in
             if pos.p_func = "main" then
               match Analysis.Cfg.find_iid cfg x.iid with
               | Some (b, k) ->
                 Alcotest.(check int) "block" pos.p_block b;
                 Alcotest.(check int) "index" pos.p_index k
-              | None -> Alcotest.fail "not found"));
+              | None -> Alcotest.fail "not found")
+          (Ir.Program.all_instrs prog));
   ]
 
 let icfg_tests =

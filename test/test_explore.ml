@@ -46,7 +46,7 @@ let explore_tests =
           (match res.I.outcome with
            | I.Failed rep2 ->
              Alcotest.(check bool) "same signature" true
-               (Exec.Failure.same_failure rep rep2)
+               (Exec.Failure.signature rep = Exec.Failure.signature rep2)
            | I.Success -> Alcotest.fail "witness did not replay"));
     Alcotest.test_case
       "sqlite close-during-query is reachable within 1 preemption" `Quick

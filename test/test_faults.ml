@@ -22,7 +22,7 @@ let model =
           (fun seed ->
             List.iter
               (fun inj ->
-                Alcotest.(check bool) "none" true (F.is_none inj))
+                Alcotest.(check bool) "none" true (inj = F.none))
               (draws F.zero ~seed 50))
           [ 0; 1; 42; 123456 ]);
     Alcotest.test_case "draw is a pure function of (seed, client, attempt)"

@@ -28,16 +28,20 @@ let construction =
           iids);
     Alcotest.test_case "by_iid index is complete" `Quick (fun () ->
         let p = Tsupport.Programs.diamond in
-        Ir.Program.iter_instrs p (fun x ->
+        List.iter
+          (fun (x : instr) ->
             let x', _ = Hashtbl.find p.by_iid x.iid in
-            Alcotest.(check int) "same instr" x.iid x'.iid));
+            Alcotest.(check int) "same instr" x.iid x'.iid)
+          (Ir.Program.all_instrs p));
     Alcotest.test_case "position_of points at the instruction" `Quick (fun () ->
         let p = Tsupport.Programs.loop_sum in
-        Ir.Program.iter_instrs p (fun x ->
+        List.iter
+          (fun (x : instr) ->
             let pos = Ir.Program.position_of p x.iid in
             let f = Ir.Program.find_func p pos.p_func in
             let y = f.blocks.(pos.p_block).instrs.(pos.p_index) in
-            Alcotest.(check int) "roundtrip" x.iid y.iid));
+            Alcotest.(check int) "roundtrip" x.iid y.iid)
+          (Ir.Program.all_instrs p));
     Alcotest.test_case "source_loc_count counts distinct lines" `Quick
       (fun () ->
         let p = Tsupport.Programs.straight in
@@ -153,7 +157,7 @@ let printing =
   [
     Alcotest.test_case "program pretty-print mentions functions" `Quick
       (fun () ->
-        let s = Ir.Pp.program_to_string Tsupport.Programs.call_chain in
+        let s = Fmt.str "%a" Ir.Pp.pp_program Tsupport.Programs.call_chain in
         List.iter
           (fun f ->
             if not (Astring.String.is_infix ~affix:f s) then

@@ -254,7 +254,8 @@ let admission =
           Serve.Service.Busy
             { inflight = 3; queued = 7; retry_after_rounds = 1 }
         in
-        Alcotest.(check string) "label" "busy" (Serve.Service.sreject_label r);
+        Alcotest.(check bool) "busy" true
+          (match r with Serve.Service.Busy _ -> true | Shed _ -> false);
         Alcotest.(check bool) "string mentions both numbers" true
           (let s = Serve.Service.sreject_to_string r in
            Astring.String.is_infix ~affix:"3" s

@@ -22,12 +22,6 @@ let tests =
         Alcotest.(check bool) "first" true (W.arm w 10);
         Alcotest.(check bool) "second" false (W.arm w 10);
         Alcotest.(check int) "one slot used" 3 (W.free_slots w));
-    Alcotest.test_case "disarm frees the slot" `Quick (fun () ->
-        let w = mk () in
-        ignore (W.arm w 10);
-        W.disarm w 10;
-        Alcotest.(check bool) "unwatched" false (W.watched w 10);
-        Alcotest.(check int) "free again" 4 (W.free_slots w));
     Alcotest.test_case "only watched addresses trap" `Quick (fun () ->
         let w = mk () in
         ignore (W.arm w 10);
