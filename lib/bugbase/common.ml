@@ -126,6 +126,6 @@ let is_target_failure (bug : t) (rep : Exec.Failure.report) =
 
 (* The production failure report that triggers the diagnosis: the first
    occurrence of the *target* failure across production clients. *)
-let find_target_failure ?(max_runs = 5000) ?(max_steps = 400_000) (bug : t) =
+let find_target_failure ?(max_runs = 5000) (bug : t) =
   Exec.Interp.first_failure ~accept:(is_target_failure bug) ~max_runs
-    ~preempt_prob:bug.preempt_prob ~max_steps bug.program bug.workload_of
+    ~preempt_prob:bug.preempt_prob bug.program bug.workload_of

@@ -45,6 +45,7 @@ val root_cause_iids : t -> iid list
 val is_target_failure : t -> Exec.Failure.report -> bool
 
 (** First occurrence of the {e target} failure among production
-    workloads: the report that triggers the diagnosis. *)
+    workloads (each run capped at {!Exec.Interp.first_failure}'s
+    default step budget): the report that triggers the diagnosis. *)
 val find_target_failure :
-  ?max_runs:int -> ?max_steps:int -> t -> (int * Exec.Failure.report) option
+  ?max_runs:int -> t -> (int * Exec.Failure.report) option

@@ -24,8 +24,6 @@ type t = {
   redact_values : bool;      (* extension: hash string values leaving clients *)
   fault_rates : Faults.Fault.rates; (* injected fleet faults (zero = off) *)
   fault_seed : int;          (* fault-injection stream, independent of run seeds *)
-  max_retries : int;         (* re-dispatches per client slot before quarantine *)
-  quorum_frac : float;       (* valid-report fraction below which an iteration degrades *)
   early_exit : bool;         (* stop gathering once the top predictor separates *)
   separation_delta : float;  (* error rate of the separation confidence bound *)
   checkpoint_every : int;    (* evaluate the bound every N consumed slots *)
@@ -48,8 +46,6 @@ let default =
     redact_values = false;
     fault_rates = Faults.Fault.zero;
     fault_seed = 1;
-    max_retries = 2;
-    quorum_frac = 0.5;
     early_exit = false;
     separation_delta = 0.05;
     checkpoint_every = 8;
@@ -69,7 +65,6 @@ let adaptive = { default with early_exit = true }
 type error =
   | Bad_sigma0 of int               (* must be positive *)
   | Bad_max_clients_per_iter of int (* must be positive *)
-  | Bad_quorum_frac of float        (* must be in (0, 1] *)
   | Bad_separation_delta of float   (* must be in (0, 1) *)
   | Bad_checkpoint_every of int     (* must be positive *)
 
@@ -79,8 +74,6 @@ let error_to_string = function
   | Bad_sigma0 n -> Printf.sprintf "sigma0 must be positive (got %d)" n
   | Bad_max_clients_per_iter n ->
     Printf.sprintf "max_clients_per_iter must be positive (got %d)" n
-  | Bad_quorum_frac f ->
-    Printf.sprintf "quorum_frac must be in (0, 1] (got %g)" f
   | Bad_separation_delta f ->
     Printf.sprintf "separation_delta must be in (0, 1) (got %g)" f
   | Bad_checkpoint_every n ->
@@ -90,8 +83,6 @@ let validate t =
   if t.sigma0 <= 0 then Error (Bad_sigma0 t.sigma0)
   else if t.max_clients_per_iter <= 0 then
     Error (Bad_max_clients_per_iter t.max_clients_per_iter)
-  else if not (t.quorum_frac > 0.0 && t.quorum_frac <= 1.0) then
-    Error (Bad_quorum_frac t.quorum_frac)
   else if not (t.separation_delta > 0.0 && t.separation_delta < 1.0) then
     Error (Bad_separation_delta t.separation_delta)
   else if t.checkpoint_every <= 0 then

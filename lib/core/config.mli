@@ -26,10 +26,6 @@ type t = {
       (** injected fleet faults ({!Faults.Fault.zero} = off) *)
   fault_seed : int;
       (** seeds the fault-injection stream, independent of run seeds *)
-  max_retries : int;
-      (** re-dispatches per client slot before the slot is quarantined *)
-  quorum_frac : float;
-      (** valid-report fraction below which an iteration degrades *)
   early_exit : bool;
       (** adaptive AsT: stop gathering at the first checkpoint where the
           top predictor's F_beta confidence bound separates it from the
@@ -55,7 +51,6 @@ val adaptive : t
 type error =
   | Bad_sigma0 of int               (** must be positive *)
   | Bad_max_clients_per_iter of int (** must be positive *)
-  | Bad_quorum_frac of float        (** must be in (0, 1] *)
   | Bad_separation_delta of float   (** must be in (0, 1) *)
   | Bad_checkpoint_every of int     (** must be positive *)
 

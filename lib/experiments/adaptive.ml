@@ -109,10 +109,11 @@ let compare_bug ?pool ~base (bug : Bugbase.Common.t) =
         (e, a) )
   | _ -> None
 
-let run ?(base = fleet_base) ?(bugs = Bugbase.Registry.all) ?pool () =
+let run () =
+  let base = fleet_base and bugs = Bugbase.Registry.all in
   let compared =
     List.filter_map Fun.id
-      (Harness.map_bugs (fun b -> compare_bug ?pool ~base b) bugs)
+      (Harness.map_bugs (fun b -> compare_bug ~base b) bugs)
   in
   let rows = List.map fst compared in
   let total_exh = List.fold_left (fun s r -> s + r.r_exh_dispatched) 0 rows in
@@ -161,7 +162,7 @@ let run ?(base = fleet_base) ?(bugs = Bugbase.Registry.all) ?pool () =
                        ra_dispatched = res.diagnosis.fleet.f_dispatched;
                        ra_converged = Gist.Server.converged res.diagnosis;
                      })
-                   (Harness.diagnose_bug ~config ?pool ~with_oracle:false bug))
+                   (Harness.diagnose_bug ~config ~with_oracle:false bug))
              ambiguous)
   in
   {

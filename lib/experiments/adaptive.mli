@@ -55,15 +55,10 @@ val compare_bug :
   Bugbase.Common.t ->
   (row * (Harness.bug_result * Harness.bug_result)) option
 
-(** Run the comparison over [bugs] (default: the full Bugbase) on top
-    of [base] (default {!fleet_base}), then re-diagnose the ambiguous
-    bugs with the saved budget split evenly among them. *)
-val run :
-  ?base:Gist.Config.t ->
-  ?bugs:Bugbase.Common.t list ->
-  ?pool:Parallel.Pool.t ->
-  unit ->
-  t
+(** Run the comparison over the full Bugbase on top of {!fleet_base},
+    then re-diagnose the ambiguous bugs with the saved budget split
+    evenly among them. *)
+val run : unit -> t
 
 (** The [gist_cli experiments adaptive] report. *)
 val print : unit -> unit

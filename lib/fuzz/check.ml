@@ -85,9 +85,11 @@ let target_matches (case : Gen.case) (f : F.report) =
 (* Scan the client sequence the way [Exec.Interp.first_failure] scans
    production runs, keeping counts so callers can tell an unviable
    case (never fails / never succeeds) from a diagnosable one. *)
-let probe ?(max_clients = 96) (case : Gen.case) =
+let probe_clients = 96
+
+let probe (case : Gen.case) =
   let target = ref None and fails = ref 0 and succs = ref 0 in
-  for c = 0 to max_clients - 1 do
+  for c = 0 to probe_clients - 1 do
     let r =
       I.run ~max_steps:probe_max_steps ~preempt_prob:case.c_preempt
         case.c_program
@@ -102,8 +104,10 @@ let probe ?(max_clients = 96) (case : Gen.case) =
   done;
   { p_target = !target; p_fails = !fails; p_succs = !succs }
 
-let viable ?(min_fails = 3) ?(min_succs = 3) p =
-  p.p_fails >= min_fails && p.p_succs >= min_succs
+(* Runs of each outcome a viable case shows in the probe window. *)
+let min_outcomes = 3
+
+let viable p = p.p_fails >= min_outcomes && p.p_succs >= min_outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Diagnosis. *)

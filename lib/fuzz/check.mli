@@ -16,11 +16,6 @@ val verdict_name : verdict -> string
 val verdict_to_string : verdict -> string
 val verdict_equal : verdict -> verdict -> bool
 
-(** Line-based rendering of a predictor ("race:WR\@101->102"). *)
-val describe : Ir.Types.program -> Predict.Predictor.t -> string
-
-val accepted : Gen.case -> Predict.Predictor.t -> bool
-
 (** {1 Probing} *)
 
 type probe = {
@@ -30,12 +25,12 @@ type probe = {
   p_succs : int;
 }
 
-(** Scan the first [max_clients] (default 96) production runs. *)
-val probe : ?max_clients:int -> Gen.case -> probe
+(** Scan the first 96 production runs. *)
+val probe : Gen.case -> probe
 
 (** A case is diagnosable when both outcomes occur in the probe
-    window (defaults: 3 of each). *)
-val viable : ?min_fails:int -> ?min_succs:int -> probe -> bool
+    window, 3 times each. *)
+val viable : probe -> bool
 
 (** {1 Diagnosis} *)
 

@@ -26,11 +26,11 @@ type sstmt =
       (** kernel branch; labels patched at compile time *)
 
 (** Sequential program over a private 8-cell array; cannot fault. *)
-val random : ?budget:int -> ?depth:int -> int -> program
+val random : int -> program
 
 (** Two workers over a shared array: racy by construction, but no
     instruction can fault. *)
-val random_threaded : ?budget:int -> ?depth:int -> int -> program
+val random_threaded : int -> program
 
 (** {1 Bug injection} *)
 
@@ -87,11 +87,11 @@ type case = {
     [cycle.(c mod length)] and a seed derived from [c]. *)
 val workload_of : case -> int -> Exec.Interp.workload
 
-val scenario : ?pad_budget:int -> pattern -> int -> scenario
+val scenario : pattern -> int -> scenario
 val case_of_scenario : ?name:string -> ?seed:int -> scenario -> case
 
 (** [generate pattern seed]: a fresh labelled bug. *)
-val generate : ?pad_budget:int -> pattern -> int -> case
+val generate : pattern -> int -> case
 
 (** {1 Shrinking support} *)
 

@@ -38,14 +38,14 @@ val min_pattern_accuracy : report -> float
 
 (** [run ~seed ~count ()] fuzzes [count] cases round-robin over the
     taxonomy.  [jobs] sizes the case-level pool; [shrink] (default on)
-    minimizes every failing case; [retries] candidate seeds are
-    pre-drawn per slot and the first diagnosable one is used; [faults]
+    minimizes every failing case; 5 candidate seeds are pre-drawn
+    per slot and the first diagnosable one is used; [faults]
     (rates, fault seed) checks every case under injected fleet faults
     — the shrinker then reproduces verdicts under the same faults;
     [early_exit] (default false) diagnoses every case with the
     sequential stopping rule on. *)
 val run :
-  ?jobs:int -> ?shrink:bool -> ?retries:int ->
+  ?jobs:int -> ?shrink:bool ->
   ?faults:Faults.Fault.rates * int -> ?early_exit:bool ->
   seed:int -> count:int ->
   unit -> report
@@ -58,10 +58,10 @@ val stats_of : case_report list -> pattern_stats list
 val case_report :
   ?shrink:Shrink.result -> Gen.case -> Check.outcome -> case_report
 
-(** The exact case list a campaign with the same (seed, count,
-    retries) checks, in slot order — for differential harnesses that
-    compare diagnosis modes on the campaign's cases. *)
-val cases : ?retries:int -> seed:int -> count:int -> unit -> Gen.case list
+(** The exact case list a campaign with the same (seed, count)
+    checks, in slot order — for differential harnesses that compare
+    diagnosis modes on the campaign's cases. *)
+val cases : seed:int -> count:int -> unit -> Gen.case list
 
 val to_json : report -> string
 val pp : Format.formatter -> report -> unit

@@ -13,7 +13,7 @@ let block label instrs =
 let func name ?(params = []) blocks =
   { fname = name; params; blocks = Array.of_list blocks }
 
-let global ?(init = Imm 0) gname = { gname; init }
+let global gname = { gname; init = Imm 0 }
 
 (* Operand shorthands. *)
 let r x = Reg x

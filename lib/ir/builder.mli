@@ -7,7 +7,9 @@ open Types
 val instr : file:string -> ?line:int -> ?text:string -> instr_kind -> instr
 val block : string -> instr list -> block
 val func : string -> ?params:reg list -> block list -> func
-val global : ?init:operand -> string -> global
+
+(** A global initialised to [Imm 0]. *)
+val global : string -> global
 
 (** Operand shorthands. *)
 

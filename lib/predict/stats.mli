@@ -22,11 +22,12 @@ type ranked = {
   n_success_with : int;
 }
 
-val f_measure : ?beta:float -> precision:float -> recall:float -> unit -> float
+(** F_0.5 of a precision and a recall. *)
+val f_measure : precision:float -> recall:float -> float
 
 (** Rank all predictors, best first (F-measure, deterministic
     tie-break).  Each observation's predictor list is deduplicated. *)
-val rank : ?beta:float -> observation list -> ranked list
+val rank : observation list -> ranked list
 
 (** {2 Confidence bounds (the adaptive early-exit stopping rule)} *)
 
@@ -47,7 +48,6 @@ val wilson_interval :
     n_success_with] trials) and recall (over [total_failing] trials),
     combined through F_beta's monotonicity in both arguments. *)
 val f_interval :
-  ?beta:float ->
   ?delta:float ->
   n_failing_with:int ->
   n_success_with:int ->
@@ -61,7 +61,7 @@ val f_interval :
     state, not O(runs).
 
     {!Acc.rank} is bit-identical to {!rank} over the same
-    observations in any accumulation or merge order: the counts are
+    observations in any accumulation order: the counts are
     commutative integer sums and the sort key (f_measure descending,
     then [Predictor.compare]) is a total order over distinct
     predictors. *)
@@ -70,16 +70,9 @@ module Acc : sig
 
   val create : unit -> t
 
-  (** Number of observations folded in so far. *)
-  val observations : t -> int
-
   (** Fold one run's observation into the counters (predictor list is
       deduplicated, as in {!rank}). *)
   val add : t -> observation -> unit
-
-  (** [merge ~into src] folds [src]'s counters into [into]; [src] is
-      unchanged.  Used to combine per-worker accumulators. *)
-  val merge : into:t -> t -> unit
 
   (** The accumulator as a deterministic value, for snapshot codecs:
       [(cells, total_failing, n_obs)] with cells sorted by
@@ -93,7 +86,7 @@ module Acc : sig
     cells:(Predictor.t * (int * int * int)) list ->
     total_failing:int -> n_obs:int -> t
 
-  val rank : ?beta:float -> t -> ranked list
+  val rank : t -> ranked list
 
   (** The sequential stopping test: [Some p] when the top-ranked
       predictor [p]'s F_beta lower confidence bound (error rate
@@ -113,10 +106,9 @@ module Acc : sig
       failing evidence of its own must never separate vacuously).
 
       A pure function of the accumulated counters: any accumulation
-      or merge order that yields the same counts yields the same
-      verdict (qcheck-tested), so checkpoint decisions are
-      bit-identical under chunked parallel ingest. *)
-  val separated : ?beta:float -> ?delta:float -> t -> Predictor.t option
+      order that yields the same counts yields the same verdict
+      (qcheck-tested). *)
+  val separated : ?delta:float -> t -> Predictor.t option
 end
 
 (** The sketch shows the best predictor {e per category} (branches,

@@ -226,7 +226,6 @@ let validation =
                   | "sigma0" -> Bad_sigma0 bad.sigma0
                   | "max_clients" ->
                     Bad_max_clients_per_iter bad.max_clients_per_iter
-                  | "quorum" -> Bad_quorum_frac bad.quorum_frac
                   | "delta" -> Bad_separation_delta bad.separation_delta
                   | "checkpoint" -> Bad_checkpoint_every bad.checkpoint_every
                   | _ -> assert false)))
@@ -242,10 +241,6 @@ let validation =
     expects_error "clients per iteration must be positive"
       { default with max_clients_per_iter = -3 }
       "max_clients";
-    expects_error "quorum fraction above 1 is rejected"
-      { default with quorum_frac = 1.5 } "quorum";
-    expects_error "quorum fraction of 0 is rejected"
-      { default with quorum_frac = 0.0 } "quorum";
     expects_error "separation delta must lie in (0,1)"
       { default with separation_delta = 1.0 } "delta";
     expects_error "checkpoint interval must be positive"
@@ -262,11 +257,11 @@ let validation =
         | None -> Alcotest.fail "curl failure must manifest"
         | Some (_, failure) ->
           Alcotest.check_raises "raises"
-            (Invalid (Bad_quorum_frac 2.0))
+            (Invalid (Bad_sigma0 0))
             (fun () ->
               ignore
                 (Gist.Server.diagnose
-                   ~config:{ default with quorum_frac = 2.0 }
+                   ~config:{ default with sigma0 = 0 }
                    ~bug_name:bug.name ~failure_type:bug.failure_type
                    ~program:bug.program ~workload_of:bug.workload_of
                    ~failure ())));
