@@ -1,7 +1,4 @@
 (** Apache bug #45605 ("Apache-1", httpd 2.2.9): a TOCTOU race on the lockless connection-queue fast path; the losing worker dereferences NULL. *)
 
-(** The IR re-creation of the buggy program. *)
-val program : Ir.Types.program
-
 (** The Bugbase descriptor (workloads, ideal sketch, target failure). *)
 val bug : Common.t

@@ -1,7 +1,4 @@
 (** Apache bug #21287 ("Apache-3", paper Fig. 8): the dec / zero-check / free triplet of decrement_refcount is not atomic; the cache object is freed twice. *)
 
-(** The IR re-creation of the buggy program. *)
-val program : Ir.Types.program
-
 (** The Bugbase descriptor (workloads, ideal sketch, target failure). *)
 val bug : Common.t

@@ -1,7 +1,4 @@
 (** Apache bug #21285 ("Apache-4", httpd 2.0.46): the cleanup thread destroys the request pool between a worker's liveness check and its allocation (use after free). *)
 
-(** The IR re-creation of the buggy program. *)
-val program : Ir.Types.program
-
 (** The Bugbase descriptor (workloads, ideal sketch, target failure). *)
 val bug : Common.t

@@ -1,10 +1,4 @@
 (** Cppcheck bug #3238 (v1.52): the template simplification pass dereferences tok->next after a '<' token without a NULL check; a dangling '<' at EOF crashes the checker. *)
 
-(** The IR re-creation of the buggy program. *)
-val program : Ir.Types.program
-
-(** The production input mix; one entry is the failing input. *)
-val inputs : string array
-
 (** The Bugbase descriptor (workloads, ideal sketch, target failure). *)
 val bug : Common.t

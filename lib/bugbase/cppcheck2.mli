@@ -1,10 +1,4 @@
 (** Cppcheck bug #2782 (v1.48): constant folding evaluates "<num>/<num>" with host division; analysing a literal division by zero crashes the checker itself. *)
 
-(** The IR re-creation of the buggy program. *)
-val program : Ir.Types.program
-
-(** The production input mix; one entry is the failing input. *)
-val inputs : string array
-
 (** The Bugbase descriptor (workloads, ideal sketch, target failure). *)
 val bug : Common.t

@@ -63,9 +63,6 @@ let icfg program = find_or_build entries stats_ Icfg.build program
    program, shared by every subsequent interpreter run and PT decode. *)
 let lowered program = find_or_build lentries lstats_ Ir.Lowered.lower program
 
-(* The per-function views, through the same cache. *)
-let cfg program fname = Icfg.cfg_of (icfg program) fname
-
 let hits () = stats_.hits
 let misses () = stats_.misses
 

@@ -8,9 +8,6 @@
 (** The (possibly cached) interprocedural CFG of [program]. *)
 val icfg : Ir.Types.program -> Icfg.t
 
-(** [cfg program fname]: a per-function CFG through the same cache. *)
-val cfg : Ir.Types.program -> string -> Cfg.t
-
 (** The (possibly cached) lowered execution form of [program] (see
     [Ir.Lowered]): compiled once, then shared by every interpreter run
     and PT decode of the same program.  Same keying and thread-safety

@@ -46,9 +46,7 @@ let exit_blocks t =
   done;
   !l
 
-(* Instruction-level helpers.  A program point is (block, index). *)
-
-let instr_at t (b, k) = (block t b).instrs.(k)
+(* A program point is (block, index). *)
 
 let find_iid t iid =
   let found = ref None in

@@ -22,7 +22,6 @@ val exit_blocks : t -> int list
 
 (** Instruction-level helpers; a program point is (block, index). *)
 
-val instr_at : t -> int * int -> instr
 val find_iid : t -> iid -> (int * int) option
 
 (** Within a block this is textual order; across blocks, block

@@ -28,8 +28,6 @@ val build : program -> t
 (** @raise Ir.Types.Invalid_program on unknown functions. *)
 val cfg_of : t -> string -> Cfg.t
 
-val successors : t -> node -> (node * edge_kind) list
-
 (** Call instructions targeting a function. *)
 val call_sites_of : t -> string -> iid list
 

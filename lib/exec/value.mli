@@ -23,7 +23,6 @@ val of_bool : bool -> t
 (** C-style truthiness: [VInt 0] and [VNull] are false. *)
 val truthy : t -> bool
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Structural equality, with [VNull = VInt 0] as in C. *)

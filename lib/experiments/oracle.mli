@@ -7,7 +7,6 @@
 
 val convincing_predictor : Fsketch.Sketch.t -> bool
 val covers_ideal : Fsketch.Accuracy.ideal -> Fsketch.Sketch.t -> bool
-val sufficient : ideal:Fsketch.Accuracy.ideal -> Fsketch.Sketch.t -> bool
 
 (** The oracle for a bug, ready to pass to {!Gist.Server.diagnose}. *)
 val for_bug : Bugbase.Common.t -> Fsketch.Sketch.t -> bool

@@ -18,5 +18,4 @@ type t = {
   fleet_anomalies : int;  (** lost + rejected + quarantined *)
 }
 
-val compute : unit -> t
 val print : unit -> unit

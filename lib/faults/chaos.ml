@@ -1,13 +1,3 @@
-type kind = Kill | Ckpt_corrupt | Torn_write | Poison
-
-let all_kinds = [ Kill; Ckpt_corrupt; Torn_write; Poison ]
-
-let kind_name = function
-  | Kill -> "kill"
-  | Ckpt_corrupt -> "ckpt-corrupt"
-  | Torn_write -> "torn-write"
-  | Poison -> "poison"
-
 type rates = {
   kill : float;
   ckpt_corrupt : float;

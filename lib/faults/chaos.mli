@@ -12,11 +12,6 @@
     {!Exec.Rng.mix} like {!Fault.draw}, so a chaos campaign is
     bit-identical at any job count and replayable from its seed. *)
 
-type kind = Kill | Ckpt_corrupt | Torn_write | Poison
-
-val all_kinds : kind list
-val kind_name : kind -> string
-
 type rates = {
   kill : float;          (** per-round: process dies after the round *)
   ckpt_corrupt : float;  (** per-kill: flip a byte in the newest checkpoint *)

@@ -91,14 +91,6 @@ let spread total =
     let p = 1.0 -. ((1.0 -. total) ** (1.0 /. n)) in
     List.fold_left (fun r k -> with_rate r k p) zero all_kinds
 
-let pp ppf r =
-  let nonzero = List.filter (fun k -> rate_of r k > 0.0) all_kinds in
-  if nonzero = [] then Fmt.string ppf "none"
-  else
-    Fmt.(list ~sep:(any ",") (fun ppf k ->
-        Fmt.pf ppf "%s=%.4g" (kind_name k) (rate_of r k)))
-      ppf nonzero
-
 (* ------------------------------------------------------------------ *)
 (* Per-attempt injection decisions. *)
 

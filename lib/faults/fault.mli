@@ -39,8 +39,6 @@ val aggregate : rates -> float
     taxonomy. *)
 val spread : float -> rates
 
-val pp : Format.formatter -> rates -> unit
-
 (** {1 Per-attempt injection decisions} *)
 
 type injection = {

@@ -20,7 +20,6 @@ type t
     debug-register budget); arms and traps account into [counters]. *)
 val create : ?capacity:int -> Exec.Cost.t -> t
 
-val watched : t -> int -> bool
 val free_slots : t -> int
 
 (** [arm t addr] is false when out of slots or already watching

@@ -48,7 +48,7 @@ type lexpr =
   | LMov of lop
   | LNot of lop
 
-(* One constructor per name in [Program.builtins]. *)
+(* One constructor per builtin name [Program.make] accepts. *)
 type builtin_op =
   | B_print
   | B_print_int

@@ -2,11 +2,6 @@
 
 open Types
 
-(** Intrinsics the interpreter understands: [print], [print_int],
-    [strlen], [str_char], [str_concat], [atoi], [yield], [sleep],
-    [input_len], [abs], [min], [max]. *)
-val builtins : string list
-
 (** [make ?globals ~main funcs] validates the functions (non-empty
     blocks, unique labels, resolvable branch targets / callees /
     globals, a terminator closing every block), assigns fresh iids in

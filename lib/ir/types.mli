@@ -51,7 +51,7 @@ type instr_kind =
   | Free of operand               (** free a heap block (no-op on null) *)
   | Call of reg option * string * operand list
   | Builtin of reg option * string * operand list
-      (** intrinsic call; see {!Program.builtins} *)
+      (** intrinsic call; {!Lowered.builtin_op} lists the names *)
   | Jmp of string                 (** unconditional branch to a label *)
   | Branch of operand * string * string
       (** [Branch (cond, then_label, else_label)] *)

@@ -105,7 +105,6 @@ let compact t =
   | _ -> ()
 
 let contents t = Buffer.contents t.buf
-let length t = Buffer.length t.buf
 
 (* Frames until the first structural break (a torn tail).  A frame
    whose digest or payload is refused inside intact framing becomes

@@ -72,9 +72,6 @@ val compact : t -> unit
     of the bytes as they stood at the kill". *)
 val contents : t -> string
 
-(** Number of bytes appended so far (cheap; no copy). *)
-val length : t -> int
-
 (** Decode a byte stream.  Never raises: a torn tail truncates, a
     damaged record inside intact framing becomes {!entry.Damaged}. *)
 val load : string -> entry list

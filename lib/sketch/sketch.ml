@@ -38,9 +38,6 @@ let statement_order t =
       end)
     t.steps
 
-let source_loc_count program t = Ir.Program.source_loc_count program (iids t)
-let instr_count t = List.length (iids t)
-
 (* ------------------------------------------------------------------ *)
 (* Construction.
 

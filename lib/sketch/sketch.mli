@@ -30,9 +30,6 @@ val iids : t -> iid list
     against the ideal order. *)
 val statement_order : t -> iid list
 
-val source_loc_count : Ir.Types.program -> t -> int
-val instr_count : t -> int
-
 (** Build a sketch from a representative monitored failing run.
 
     [per_thread] gives, per thread, the refined-slice statements in the

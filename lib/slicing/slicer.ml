@@ -220,8 +220,6 @@ let take t n =
 let instr_count t = List.length t.entries
 let source_loc_count t = Ir.Program.source_loc_count t.program (iids t)
 
-let mem t iid = List.exists (fun e -> e.e_iid = iid) t.entries
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>slice (failure at %d):@," t.failing;
   List.iter

@@ -46,5 +46,4 @@ val take : t -> int -> iid list
 
 val instr_count : t -> int
 val source_loc_count : t -> int
-val mem : t -> iid -> bool
 val pp : Format.formatter -> t -> unit
