@@ -69,6 +69,3 @@ let replay ?(max_steps = 400_000) program (r : recording) =
     | _ -> false
   in
   (result.outcome, same)
-
-let overhead_percent (r : recording) =
-  Exec.Cost.rr_overhead_percent r.rec_counters

@@ -25,5 +25,3 @@ val record :
 val replay :
   ?max_steps:int -> Ir.Types.program -> recording ->
   Exec.Interp.outcome * bool
-
-val overhead_percent : recording -> float

@@ -12,27 +12,6 @@
 
    Every function is a pure function of (salt, input). *)
 
-let split_at n l =
-  let rec go acc k = function
-    | x :: tl when k > 0 -> go (x :: acc) (k - 1) tl
-    | rest -> (List.rev acc, rest)
-  in
-  go [] n l
-
-(* Drop a non-empty suffix of the packet stream: the ring lost its
-   tail.  The result never ends with the stream's PGD terminator, so
-   the hardened decoder reports [Truncated] (unless an earlier segment
-   boundary is cut exactly, in which case the prefix is a complete,
-   valid shorter trace -- also what real truncation can produce). *)
-let truncate_packets ~salt packets =
-  match packets with
-  | [] -> []
-  | _ ->
-    let n = List.length packets in
-    let rng = Exec.Rng.create (Exec.Rng.mix salt 0x7c1) in
-    let keep = Exec.Rng.int rng n in
-    fst (split_at keep packets)
-
 (* Damage one packet in place.  All shapes are structurally invalid:
    a transfer target beyond the program, a PGE opening mid-segment, or
    a stray TIP where the decoder expects branch bits. *)

@@ -3,10 +3,6 @@
     and caught by the server's structural validation.  Pure functions
     of (salt, input). *)
 
-(** Drop a non-empty suffix of a non-empty stream (the result is a
-    strict prefix). *)
-val truncate_packets : salt:int -> Hw.Pt.packet list -> Hw.Pt.packet list
-
 (** Damage one packet structurally (out-of-range transfer target,
     misplaced PGE/TIP). *)
 val corrupt_packets :

@@ -211,5 +211,3 @@ let codec =
       |+ (uint, fun t -> t.tick)
       |+ (uint, fun t -> t.evicted)
       |+ (list cluster, by_recency)))
-
-let equal a b = C.encode codec a = C.encode codec b

@@ -68,6 +68,3 @@ val views : t -> view list
     in last-touch order, so equal tables encode byte-identically. *)
 
 val codec : t Hw.Codec.t
-
-(** Byte-equality of the two tables' encodings. *)
-val equal : t -> t -> bool

@@ -109,21 +109,19 @@ let model =
 let sample_packets =
   Hw.Pt.[ PGE 1; TNT [ true; false; true ]; TIP 9; PGE 4; TNT [ false ]; PGD 7 ]
 
-let rec is_prefix xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | x :: xs', y :: ys' -> x = y && is_prefix xs' ys'
-  | _ :: _, [] -> false
+let sample_ring = Hw.Pt.Wire.encode sample_packets
 
 let tamper =
   [
-    Alcotest.test_case "truncate_packets yields a strict prefix" `Quick
-      (fun () ->
+    Alcotest.test_case "truncate_wire yields a non-empty strict byte prefix"
+      `Quick (fun () ->
+        let n = String.length sample_ring in
         for salt = 0 to 30 do
-          let t = T.truncate_packets ~salt sample_packets in
-          Alcotest.(check bool) "strictly shorter" true
-            (List.length t < List.length sample_packets);
-          Alcotest.(check bool) "prefix" true (is_prefix t sample_packets)
+          let t = T.truncate_wire ~salt sample_ring in
+          let k = String.length t in
+          Alcotest.(check bool) "non-empty, strictly shorter" true
+            (k > 0 && k < n);
+          Alcotest.(check string) "prefix" (String.sub sample_ring 0 k) t
         done);
     Alcotest.test_case "corrupt_packets changes the stream" `Quick (fun () ->
         let changed = ref 0 in
@@ -156,9 +154,9 @@ let tamper =
         done);
     Alcotest.test_case "damage is deterministic in the salt" `Quick (fun () ->
         for salt = 0 to 10 do
-          Alcotest.(check bool) "truncate" true
-            (T.truncate_packets ~salt sample_packets
-            = T.truncate_packets ~salt sample_packets);
+          Alcotest.(check string) "truncate"
+            (T.truncate_wire ~salt sample_ring)
+            (T.truncate_wire ~salt sample_ring);
           Alcotest.(check bool) "corrupt" true
             (T.corrupt_packets ~salt ~n_instrs:12 sample_packets
             = T.corrupt_packets ~salt ~n_instrs:12 sample_packets)
