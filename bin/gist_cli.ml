@@ -851,6 +851,9 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
            | Some _ | None -> ());
           (match journal_file with
            | Some path ->
+             (* [drive] has harvested every completion, so this final
+                checkpoint is written and the saved journal ends in it. *)
+             ignore (Serve.Service.checkpoint svc : bool);
              Serve.Journal.save_file path (Serve.Service.journal_bytes svc)
            | None -> ());
           let last = List.map snd oc.o_done in
@@ -889,18 +892,21 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
              emit_reproducers dir ~specs ~completions:last
                (Serve.Service.clusters svc)
            | Some _ | None -> ());
-          let balanced =
-            st.st_submitted
-            = st.st_completed + st.st_rejected + st.st_coalesced + st.st_shed
-            && Serve.Service.inflight svc = 0
-            && Serve.Service.queued svc = 0
-            && List.length last = st.st_completed
+          let ledger =
+            match Serve.Service.ledger_error svc with
+            | None when List.length last <> st.st_completed ->
+              Some
+                (Printf.sprintf
+                   "ledger does not balance: %d completion(s) delivered, %d \
+                    booked"
+                   (List.length last) st.st_completed)
+            | e -> e
           in
-          if not balanced then begin
-            prerr_endline "serve: session ledger does not balance";
+          match ledger with
+          | Some e ->
+            prerr_endline ("serve: session " ^ e);
             2
-          end
-          else 0))
+          | None -> 0))
 
 let serve_cmd =
   let sessions =
@@ -951,7 +957,8 @@ let serve_cmd =
              Serve.Service.default.Serve.Service.checkpoint_every_rounds
          & info [ "checkpoint-every" ] ~docv:"N"
              ~doc:"Journal a full-state checkpoint every $(docv) scheduler \
-                   rounds (0: only the initial and shutdown checkpoints). \
+                   rounds (0: only the initial checkpoint, plus a final \
+                   one when $(b,--journal) saves the journal). \
                    Recovery replays at most $(docv) rounds.")
   in
   let deadline =
